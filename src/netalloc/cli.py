@@ -14,7 +14,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .engine import NoiseConfig, StepSchedule, initial_state, monte_carlo, run_path
+from .engine import (
+    NoiseConfig,
+    StepSchedule,
+    initial_state,
+    monte_carlo,
+    run_path,
+    summarize_finals,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -29,7 +36,7 @@ from .network import GraphModel, mean_laplacian, model_from_json, validate_model
 from .odeflow import equilibrium_construct, flow
 from .oracle import kkt_check, solve_dual
 from .problem import problem_from_json
-from .trace import mean_trace, read_csv, write_csv
+from .trace import mean_trace, read_csv, write_csv, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +123,6 @@ def run_section(config):
     run.setdefault("steps", 100_000)
     run.setdefault("reference", "oracle")
     return run
-
-
-def write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def prepare_out(args, command, config, overrides):
@@ -299,18 +300,8 @@ def cmd_report(args):
         write_csv(mean_trace(traces), os.path.join(out, "trace_mean.csv"))
         with open(os.path.join(out, "finals.json")) as fh:
             finals_doc = json.load(fh)
-        summary = {"paths": len(finals_doc["finals"]) + len(finals_doc["diverged"]),
-                   "diverged": len(finals_doc["diverged"]), "final": {}}
-        for name in ("dist", "obj", "consensus", "balance", "state_norm"):
-            vals = [r["final"][name] for r in finals_doc["finals"]
-                    if r["final"].get(name) is not None]
-            if vals:
-                arr = np.array(vals, dtype=float)
-                summary["final"][name] = {
-                    "mean": float(arr.mean()),
-                    "median": float(np.median(arr)),
-                    "p90": float(np.percentile(arr, 90)),
-                }
+        finals, diverged = finals_doc["finals"], len(finals_doc["diverged"])
+        summary = summarize_finals([r["final"] for r in finals], len(finals) + diverged, diverged)
         write_json(os.path.join(out, "summary.json"), summary)
         print(f"report regenerated from {len(traces)} stored paths -> {out}")
         return 0

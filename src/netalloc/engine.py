@@ -18,7 +18,7 @@ from .errors import DivergenceError
 from .network import GraphModel, GraphSample, mean_laplacian, sample_graph, validate_model
 from .problem import ProblemSpec
 from .streams import CHANNEL_LAMBDA, CHANNEL_Z, GRADIENT, GRAPH, RESOURCE, PathStream, path_seed
-from .trace import Trace, mean_trace
+from .trace import METRICS, Trace, build_trace, mean_trace
 
 DIVERGENCE_GUARD = 1e12
 
@@ -232,6 +232,15 @@ def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStr
 # the recursion
 
 
+def received_noise(graph: GraphSample, draws: StepNoise):
+    """Received multiplier and auxiliary channel noise, each summed over
+    in-neighbors: (zrow, erow), 0.0 for a disabled channel."""
+    A = graph.adjacency
+    zrow = np.einsum("ij,ijm->im", A, draws.zeta) if draws.zeta is not None else 0.0
+    erow = np.einsum("ij,ijm->im", A, draws.eps) if draws.eps is not None else 0.0
+    return zrow, erow
+
+
 def apply_step(
     state: NetworkState, problem: ProblemSpec, graph: GraphSample, draws: StepNoise, alpha: float
 ) -> NetworkState:
@@ -239,7 +248,7 @@ def apply_step(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     X, Lam, Z = state.X, state.Lam, state.Z
-    A, L = graph.adjacency, graph.laplacian
+    L = graph.laplacian
 
     gradX = problem.grad_all(X)
     if draws.nu is not None:
@@ -249,15 +258,7 @@ def apply_step(
     res = problem.D - X
     if draws.delta is not None:
         res = res + draws.delta
-    # received multiplier/auxiliary noise, summed over in-neighbors
-    if draws.zeta is not None:
-        zrow = np.einsum("ij,ijm->im", A, draws.zeta)
-    else:
-        zrow = 0.0
-    if draws.eps is not None:
-        erow = np.einsum("ij,ijm->im", A, draws.eps)
-    else:
-        erow = 0.0
+    zrow, erow = received_noise(graph, draws)
     LLam = L @ Lam
     Ln = Lam + alpha * (res - LLam - L @ Z + zrow + erow)
     Zn = Z + alpha * (LLam - zrow)
@@ -291,11 +292,9 @@ def aggregate_noise(
     its mean with the additive observation/channel noises, and the auxiliary
     block.  Diagnostic only; the recursion itself never needs the mean.
     """
-    A, L = graph.adjacency, graph.laplacian
     Lam, Z = state.Lam, state.Z
-    dL = mean_L - L
-    zrow = np.einsum("ij,ijm->im", A, draws.zeta) if draws.zeta is not None else 0.0
-    erow = np.einsum("ij,ijm->im", A, draws.eps) if draws.eps is not None else 0.0
+    dL = mean_L - graph.laplacian
+    zrow, erow = received_noise(graph, draws)
     delta = draws.delta if draws.delta is not None else 0.0
     nu = draws.nu if draws.nu is not None else np.zeros_like(Lam)
     e1 = dL @ (Lam + Z)
@@ -317,18 +316,27 @@ class RunResult:
     watched: Optional[np.ndarray] = None  # (records, len(watch)) allocation components
 
 
-def _metrics(state, problem, mean_L, reference):
-    out = {
+def state_metrics(state, problem, mean_L, reference=None) -> dict:
+    """The recorded metrics of one state, keyed by METRICS.
+
+    `dist` is None without a reference, `obj` when some objective value is
+    unavailable.
+    """
+    return {
+        "dist": float(np.linalg.norm(state.X - reference)) if reference is not None else None,
+        "obj": problem.objective_value(state.X),
         "consensus": float(np.linalg.norm(mean_L @ state.Lam)),
         "balance": float(np.linalg.norm((state.X - problem.D).sum(axis=0))),
         "state_norm": state.norm(),
     }
-    obj = problem.objective_value(state.X)
-    out["obj"] = obj
-    out["dist"] = (
-        float(np.linalg.norm(state.X - reference)) if reference is not None else None
-    )
-    return out
+
+
+def check_divergence(state, iteration):
+    """Raise DivergenceError when the state norm is not finite or passes
+    DIVERGENCE_GUARD."""
+    norm = state.norm()
+    if not np.isfinite(norm) or norm > DIVERGENCE_GUARD:
+        raise DivergenceError(iteration=iteration, norm=norm)
 
 
 def run_path(
@@ -349,7 +357,7 @@ def run_path(
     before the step), giving ceil(iterations/cadence) records; final-state
     metrics are returned separately.  `watch` lists (agent, component)
     pairs whose allocation values are recorded on the same grid.  Raises
-    DivergenceError when the state norm passes 1e12.
+    DivergenceError when the state norm passes 1e12 or is not finite.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -366,45 +374,25 @@ def run_path(
     graph_gen = stream.channel(GRAPH)
     state = initial.copy() if initial is not None else initial_state(problem)
 
-    rec = {name: [] for name in ("k", "alpha", "dist", "obj", "consensus", "balance", "state_norm")}
+    rows = []
     watched_rows = [] if watch else None
     for k in range(iterations):
         alpha = step_size(schedule, k)
         if k % cadence == 0:
-            mt = _metrics(state, problem, mean_L, reference)
-            rec["k"].append(state.k)
-            rec["alpha"].append(alpha)
-            for name in ("dist", "obj", "consensus", "balance", "state_norm"):
-                rec[name].append(mt[name])
+            rows.append({"k": state.k, "alpha": alpha,
+                         **state_metrics(state, problem, mean_L, reference)})
             if watch:
                 watched_rows.append([state.X[i, j] for i, j in watch])
         graph = sample_graph(model, graph_gen)
         state = apply_step(
             state, problem, graph, draw_step_noise(noise, problem, state.X, stream), alpha
         )
-        norm = state.norm()
-        if norm > DIVERGENCE_GUARD:
-            raise DivergenceError(iteration=state.k, norm=norm)
+        check_divergence(state, state.k)
 
-    def col(name):
-        vals = rec[name]
-        if any(v is None for v in vals):
-            return None
-        return np.array(vals, dtype=float)
-
-    trace = Trace(
-        k=np.array(rec["k"], dtype=int),
-        alpha=np.array(rec["alpha"], dtype=float),
-        consensus=col("consensus"),
-        balance=col("balance"),
-        state_norm=col("state_norm"),
-        dist=col("dist"),
-        obj=col("obj"),
-    )
     return RunResult(
-        trace=trace,
+        trace=build_trace(rows),
         final_state=state,
-        final_metrics=_metrics(state, problem, mean_L, reference),
+        final_metrics=state_metrics(state, problem, mean_L, reference),
         seed=seed,
         watched=np.array(watched_rows) if watch else None,
     )
@@ -421,17 +409,23 @@ class MonteCarloResult:
     traces: Optional[list] = None  # per-path traces when requested
 
     def summary(self):
-        out = {"paths": self.paths, "diverged": len(self.diverged), "final": {}}
-        for name in ("dist", "obj", "consensus", "balance", "state_norm"):
-            vals = [f[name] for _, f in self.finals if f.get(name) is not None]
-            if vals:
-                arr = np.array(vals, dtype=float)
-                out["final"][name] = {
-                    "mean": float(arr.mean()),
-                    "median": float(np.median(arr)),
-                    "p90": float(np.percentile(arr, 90)),
-                }
-        return out
+        return summarize_finals([f for _, f in self.finals], self.paths, len(self.diverged))
+
+
+def summarize_finals(finals, paths, diverged) -> dict:
+    """Mean, median and 90th percentile of each final metric over the
+    completed paths' final-metric dicts."""
+    out = {"paths": paths, "diverged": diverged, "final": {}}
+    for name in METRICS:
+        vals = [f[name] for f in finals if f.get(name) is not None]
+        if vals:
+            arr = np.array(vals, dtype=float)
+            out["final"][name] = {
+                "mean": float(arr.mean()),
+                "median": float(np.median(arr)),
+                "p90": float(np.percentile(arr, 90)),
+            }
+    return out
 
 
 def _mc_worker(args):

@@ -7,7 +7,6 @@ sample paths of one setting; study 2 redraws the setting every round and
 histograms the final performance indexes.
 """
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -21,12 +20,14 @@ from .engine import (
     StepSchedule,
     monte_carlo,
     run_path,
+    state_metrics,
 )
 from .errors import GenerationError
 from .network import GraphModel, mean_laplacian, validate_model, model_to_json
 from .oracle import solve_dual
 from .problem import AgentSpec, LocalSet, ObjectiveSpec, ProblemSpec, problem_to_json
-from .trace import write_csv
+from .streams import subseed
+from .trace import write_csv, write_json
 
 N_AGGREGATORS = 10
 PERIODS = 3
@@ -169,16 +170,6 @@ class ExperimentConfig:
         }
 
 
-def _subseed(*parts) -> int:
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, np.uint64)[0])
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass
 class Experiment1Report:
     config: ExperimentConfig
@@ -191,14 +182,14 @@ class Experiment1Report:
 
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "config.json"), self.config.to_json())
-        _write_json(os.path.join(out_dir, "instance.json"), {
+        write_json(os.path.join(out_dir, "config.json"), self.config.to_json())
+        write_json(os.path.join(out_dir, "instance.json"), {
             "problem": problem_to_json(self.problem),
             "graph": model_to_json(self.model),
             "pool_attempts": self.pool_attempts,
             "seed": self.dr_spec.seed,
         })
-        _write_json(os.path.join(out_dir, "oracle.json"), self.oracle.to_json())
+        write_json(os.path.join(out_dir, "oracle.json"), self.oracle.to_json())
         write_csv(self.result.mean_trace, os.path.join(out_dir, "trace_mean.csv"))
         watched = self.result.watched_mean
         ks = self.result.mean_trace.k
@@ -207,14 +198,14 @@ class Experiment1Report:
             fh.write("k," + ",".join(names) + "\n")
             for r in range(len(ks)):
                 fh.write(str(int(ks[r])) + "," + ",".join(repr(float(v)) for v in watched[r]) + "\n")
-        _write_json(os.path.join(out_dir, "summary.json"), self.result.summary())
+        write_json(os.path.join(out_dir, "summary.json"), self.result.summary())
 
 
 def experiment1(config: ExperimentConfig, out_dir=None) -> Experiment1Report:
     """Fixed setting, averaged sample paths (allocation curves + four indexes)."""
     problem, dr_spec = demand_response_instance(config.master_seed)
     model, attempts = build_graph_pool(
-        _subseed(config.master_seed, 1), pool_size=config.pool_size,
+        subseed(config.master_seed, 1), pool_size=config.pool_size,
         p_lo=config.p_lo, p_hi=config.p_hi,
     )
     oracle = solve_dual(problem, tol=1e-9)
@@ -255,8 +246,8 @@ class Experiment2Report:
 
     def write(self, out_dir, bins=20):
         os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "config.json"), self.config.to_json())
-        _write_json(os.path.join(out_dir, "rounds.json"), {
+        write_json(os.path.join(out_dir, "config.json"), self.config.to_json())
+        write_json(os.path.join(out_dir, "rounds.json"), {
             "rounds": self.rounds, "resampled_pools": self.resampled_pools,
         })
         for index in ("dist", "obj_gap", "consensus", "balance"):
@@ -277,36 +268,30 @@ def experiment2(config: ExperimentConfig, out_dir=None) -> Experiment2Report:
     rounds = []
     resampled = 0
     for r in range(config.rounds):
-        problem, dr_spec = demand_response_instance(_subseed(config.master_seed, 2, r))
+        problem, dr_spec = demand_response_instance(subseed(config.master_seed, 2, r))
         model, attempts = build_graph_pool(
-            _subseed(config.master_seed, 3, r), pool_size=config.pool_size,
+            subseed(config.master_seed, 3, r), pool_size=config.pool_size,
             p_lo=config.p_lo, p_hi=config.p_hi,
         )
         resampled += attempts - 1
         oracle = solve_dual(problem, tol=1e-8)
-        init_rng = np.random.default_rng(_subseed(config.master_seed, 4, r))
+        init_rng = np.random.default_rng(subseed(config.master_seed, 4, r))
         initial = NetworkState(
             X=problem.project_all(init_rng.standard_normal((problem.n, problem.m))),
             Lam=init_rng.standard_normal((problem.n, problem.m)),
             Z=init_rng.standard_normal((problem.n, problem.m)),
             k=0,
         )
-        mean_L = mean_laplacian(model)
-        f_star = problem.objective_value(oracle.X_star)
-        initial_metrics = {
-            "dist": float(np.linalg.norm(initial.X - oracle.X_star)),
-            "obj": problem.objective_value(initial.X),
-            "obj_gap": abs(problem.objective_value(initial.X) - f_star),
-            "consensus": float(np.linalg.norm(mean_L @ initial.Lam)),
-            "balance": float(np.linalg.norm((initial.X - problem.D).sum(axis=0))),
-        }
+        initial_metrics = state_metrics(initial, problem, mean_laplacian(model), oracle.X_star)
         res = run_path(
             problem, model, config.noise, config.schedule,
-            iterations=config.iterations, seed=_subseed(config.master_seed, 5, r),
+            iterations=config.iterations, seed=subseed(config.master_seed, 5, r),
             reference=oracle.X_star, cadence=config.cadence, initial=initial,
         )
         final = dict(res.final_metrics)
-        final["obj_gap"] = abs(final["obj"] - f_star)
+        f_star = problem.objective_value(oracle.X_star)
+        for metrics in (initial_metrics, final):
+            metrics["obj_gap"] = abs(metrics["obj"] - f_star)
         rounds.append({
             "round": r,
             "pool_attempts": attempts,

@@ -35,6 +35,12 @@ class GraphSample:
         A = np.asarray(adjacency, dtype=float)
         return cls(n=A.shape[0], adjacency=A, laplacian=laplacian(A))
 
+    @classmethod
+    def from_laplacian(cls, L):
+        """The weighted graph whose Laplacian is L, e.g. the mean graph."""
+        L = np.asarray(L, dtype=float)
+        return cls(n=L.shape[0], adjacency=np.diag(np.diag(L)) - L, laplacian=L)
+
 
 @dataclass
 class GraphModel:
@@ -174,8 +180,7 @@ class ValidationReport:
     symmetry_defect: float
     s2: float
     passed: bool
-    method: str
-    s2_stderr: Optional[float] = None
+    method: str = "exact"
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
@@ -185,32 +190,16 @@ class ValidationReport:
         )
 
 
-def validate_model(model: GraphModel, mc_draws=100_000, mc_seed=0) -> ValidationReport:
-    """Check that the mean Laplacian is symmetric with s2 > 0.
-
-    All built-in kinds have exact mean Laplacians; the Monte Carlo branch
-    covers models whose expectation must be estimated, passing only when s2
-    clears three standard errors.
-    """
-    try:
-        Lbar = mean_laplacian(model)
-        method = "exact"
-        stderr = None
-        s2_floor = 1e-8
-    except ValueError:
-        Lbar, se = mean_laplacian_mc(model, draws=mc_draws, seed=mc_seed)
-        method = "monte_carlo"
-        stderr = float(np.linalg.norm(se))
-        s2_floor = 3.0 * stderr
+def validate_model(model: GraphModel) -> ValidationReport:
+    """Check that the exact mean Laplacian is symmetric with s2 > 1e-8."""
+    Lbar = mean_laplacian(model)
     defect = float(np.abs(Lbar - Lbar.T).max())
     if defect < 1e-8:
         s2 = float(np.linalg.eigvalsh(0.5 * (Lbar + Lbar.T))[1])
     else:
         s2 = float("nan")
-    passed = defect < 1e-8 and s2 > s2_floor
-    return ValidationReport(
-        symmetry_defect=defect, s2=s2, passed=passed, method=method, s2_stderr=stderr
-    )
+    passed = defect < 1e-8 and s2 > 1e-8
+    return ValidationReport(symmetry_defect=defect, s2=s2, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ graph with the mean Laplacian and drops all noise; its equilibria are
 exactly the optimality points of the coupled problem.  The projection acts
 on the allocation block only (multipliers and auxiliaries are free), so one
 Euler step is S+ = P(S + h J(S)) with the allocation rows projected onto
-their sets.
+their sets.  That step is the engine's step (`engine.apply_step`) with the
+mean graph, no noise and step size h, and the flow records the same
+metrics, through the same trace recorder, as the engine's sample paths.
 """
 
 from dataclasses import dataclass
@@ -13,13 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import NetworkState
-from .errors import DivergenceError, InconsistencyError
+from .engine import NetworkState, StepNoise, apply_step, check_divergence, state_metrics
+from .errors import InconsistencyError
+from .network import GraphSample
 from .problem import ProblemSpec
-from .trace import Trace
+from .trace import Trace, build_trace
 
 RESIDUAL_PROBE = 1e-6
-DIVERGENCE_GUARD = 1e12
 
 
 @dataclass
@@ -41,16 +43,9 @@ def drift(state: NetworkState, problem: ProblemSpec, mean_L) -> DriftEvaluation:
 
 
 def projected_euler_step(state: NetworkState, problem: ProblemSpec, mean_L, h: float) -> NetworkState:
-    """One explicit Euler step of the projected dynamics."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    J = drift(state, problem, mean_L)
-    return NetworkState(
-        X=problem.project_all(state.X + h * J.dX),
-        Lam=state.Lam + h * J.dLam,
-        Z=state.Z + h * J.dZ,
-        k=state.k + 1,
-    )
+    """One explicit Euler step of the projected dynamics: the engine step
+    with the mean graph, no noise and step size h (h must be positive)."""
+    return apply_step(state, problem, GraphSample.from_laplacian(mean_L), StepNoise(), h)
 
 
 def lyapunov(state: NetworkState, equilibrium: NetworkState) -> float:
@@ -104,52 +99,26 @@ def flow(
         lya[0] = lyapunov(state, equilibrium)
     states = [state.copy()]
     state_k = [0]
-    rec = {name: [] for name in ("k", "alpha", "dist", "obj", "consensus", "balance", "state_norm", "lyapunov")}
+    rows = []
 
-    def record(s, idx):
-        rec["k"].append(idx)
-        rec["alpha"].append(h)
-        rec["dist"].append(
-            float(np.linalg.norm(s.X - reference)) if reference is not None else None
-        )
-        rec["obj"].append(problem.objective_value(s.X))
-        rec["consensus"].append(float(np.linalg.norm(mean_L @ s.Lam)))
-        rec["balance"].append(float(np.linalg.norm((s.X - problem.D).sum(axis=0))))
-        rec["state_norm"].append(s.norm())
-        rec["lyapunov"].append(
-            lyapunov(s, equilibrium) if equilibrium is not None else None
-        )
+    def record(s, t):
+        rows.append({"k": t, "alpha": h, **state_metrics(s, problem, mean_L, reference),
+                     "lyapunov": lya[t] if lya is not None else None})
 
     record(state, 0)
     for t in range(1, steps + 1):
         state = projected_euler_step(state, problem, mean_L, h)
         if lya is not None:
             lya[t] = lyapunov(state, equilibrium)
-        if state.norm() > DIVERGENCE_GUARD:
-            raise DivergenceError(iteration=t, norm=state.norm())
+        check_divergence(state, t)
         if t % cadence == 0 or t == steps:
             states.append(state.copy())
             state_k.append(t)
             record(state, t)
 
-    def col(name, dtype=float):
-        vals = rec[name]
-        if any(v is None for v in vals):
-            return None
-        return np.array(vals, dtype=dtype)
-
-    trace = Trace(
-        k=np.array(rec["k"], dtype=int),
-        alpha=np.array(rec["alpha"], dtype=float),
-        consensus=col("consensus"),
-        balance=col("balance"),
-        state_norm=col("state_norm"),
-        dist=col("dist"),
-        obj=col("obj"),
-        lyapunov=col("lyapunov"),
-    )
     return FlowResult(
-        states=states, state_k=np.array(state_k), lyapunov=lya, final_state=state, trace=trace
+        states=states, state_k=np.array(state_k), lyapunov=lya, final_state=state,
+        trace=build_trace(rows),
     )
 
 
@@ -165,12 +134,7 @@ class Equilibrium:
 def equilibrium_residual(state: NetworkState, problem: ProblemSpec, mean_L) -> float:
     """|| S - P(S + h0 J(S)) || / h0 with probe step h0 = 1e-6."""
     nxt = projected_euler_step(state, problem, mean_L, RESIDUAL_PROBE)
-    gap = np.sqrt(
-        np.linalg.norm(nxt.X - state.X) ** 2
-        + np.linalg.norm(nxt.Lam - state.Lam) ** 2
-        + np.linalg.norm(nxt.Z - state.Z) ** 2
-    )
-    return float(gap / RESIDUAL_PROBE)
+    return float(np.sqrt(2.0 * lyapunov(nxt, state)) / RESIDUAL_PROBE)
 
 
 def equilibrium_construct(problem: ProblemSpec, mean_L, X_star, lambda_star) -> Equilibrium:

@@ -13,11 +13,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .problem import AgentSpec, ProblemSpec, grad, membership_violation, project
+from .problem import AgentSpec, ProblemSpec, grad, project
 
 INNER_TOL = 1e-10
 DUAL_TOL = 1e-8
 INNER_CAP = 1_000_000
+# a failed backtrack tightens the inner tolerance by this factor, at most
+# STALL_RETRIES times, before dual ascent gives up
+STALL_TIGHTEN = 1e-2
+STALL_RETRIES = 2
 
 
 def inner_min(agent: AgentSpec, lam, tol=INNER_TOL, x0=None):
@@ -88,11 +92,8 @@ def kkt_check(problem: ProblemSpec, X, lam, tol=1e-6) -> KktReport:
     """Residuals of the optimality system at (X, lam)."""
     X = np.asarray(X, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    stat = np.empty(problem.n)
-    for i, agent in enumerate(problem.agents):
-        xi = project(agent.local_set, X[i])  # measure stationarity at the feasible point
-        step = xi - (grad(agent.objective, xi) - lam)
-        stat[i] = np.linalg.norm(xi - project(agent.local_set, step))
+    Xf = problem.project_all(X)  # measure stationarity at the feasible point
+    stat = np.linalg.norm(Xf - problem.project_all(Xf - (problem.grad_all(Xf) - lam)), axis=1)
     balance = float(np.linalg.norm(X.sum(axis=0) - problem.resource_total()))
     member = float(problem.membership_violations(X).max())
     passed = stat.max() < tol and balance < tol and member < tol
@@ -139,20 +140,39 @@ def _has_active_constraint(agent: AgentSpec, x, tol=1e-7):
     return bool((s.l - s.R @ x < tol).any())
 
 
+def _certified(problem: ProblemSpec, X, lam, residual, iterations, kkt_tol) -> OracleSolution:
+    """The solution (X, lam) with its KKT report at tolerance kkt_tol."""
+    report = kkt_check(problem, X, lam, tol=kkt_tol)
+    return OracleSolution(
+        X_star=X,
+        lambda_star=lam,
+        dual_residual=residual,
+        stationarity_residuals=report.stationarity,
+        iterations_used=iterations,
+        kkt=report,
+        all_constraints_active=all(
+            _has_active_constraint(agent, X[i]) for i, agent in enumerate(problem.agents)
+        ),
+    )
+
+
 def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSolution:
     """Gradient ascent on the dual of the balance constraint.
 
     Ascent direction sum(d) - sum(x(lam)); steps a/(t+1)^0.6 with `a` tuned
     by backtracking on the dual value (ties broken by residual decrease, so
-    accepted steps never decrease the dual).  Terminates when the balance
-    residual drops below tol; the returned solution carries a KKT report.
+    accepted steps never decrease the dual).  When no step is accepted, the
+    inner-solve noise summed over agents can hide a dual increase: the inner
+    tolerance is then tightened, x(lam) re-solved and `a` restored, at most
+    STALL_RETRIES times.  Terminates when the balance residual drops below
+    tol; the returned solution carries a KKT report.
     """
     lam = np.zeros(problem.m)
     X, _ = _inner_min_all(problem, lam, problem.project_all(np.zeros((problem.n, problem.m))),
                           tol=1e-8)
     g = dual_value(problem, lam, X)
     total_d = problem.resource_total()
-    a, streak = 1.0, 0
+    a, streak, retries = 1.0, 0, 0
     res = float(np.linalg.norm(total_d - X.sum(axis=0)))
     t = 0
     converged = False
@@ -162,8 +182,8 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
         if res < tol:
             converged = True
             break
-        itol = min(1e-7, max(1e-11, res * 1e-3))
-        accepted = False
+        itol = min(1e-7, max(1e-11, res * 1e-3)) * STALL_TIGHTEN**retries
+        a0, accepted = a, False
         for _ in range(60):
             step = a / (t + 1.0) ** 0.6
             lam2 = lam + step * direction
@@ -177,7 +197,13 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
             a *= 0.5
             streak = 0
         if not accepted:
-            break
+            if retries == STALL_RETRIES:
+                break
+            retries += 1
+            a = a0
+            X, _ = _inner_min_all(problem, lam, X, tol=itol * STALL_TIGHTEN)
+            g = dual_value(problem, lam, X)
+            continue
         lam, X, g = lam2, X2, g2
         streak += 1
         if streak >= 3 and a < 1e3:
@@ -193,18 +219,7 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
             else "dual ascent stalled above tolerance",
             best=(lam, X), residual=res, iterations=t + 1,
         )
-    report = kkt_check(problem, X, lam, tol=max(1e-6, tol))
-    return OracleSolution(
-        X_star=X,
-        lambda_star=lam,
-        dual_residual=res,
-        stationarity_residuals=report.stationarity,
-        iterations_used=t,
-        kkt=report,
-        all_constraints_active=all(
-            _has_active_constraint(agent, X[i]) for i, agent in enumerate(problem.agents)
-        ),
-    )
+    return _certified(problem, X, lam, res, t, kkt_tol=max(1e-6, tol))
 
 
 def brute_force_tiny(problem: ProblemSpec, grid_step=1e-3) -> OracleSolution:
@@ -237,15 +252,5 @@ def brute_force_tiny(problem: ProblemSpec, grid_step=1e-3) -> OracleSolution:
         lam = np.array([2 * Q1 * xs[j] + c1])
     else:
         lam = np.array([2 * Q2 * x2[j] + c2])
-    report = kkt_check(problem, x_star, lam, tol=max(1e-6, 10 * grid_step))
-    return OracleSolution(
-        X_star=x_star,
-        lambda_star=lam,
-        dual_residual=float(abs(x_star.sum() - total)),
-        stationarity_residuals=report.stationarity,
-        iterations_used=xs.size,
-        kkt=report,
-        all_constraints_active=all(
-            _has_active_constraint(agent, x_star[i]) for i, agent in enumerate(problem.agents)
-        ),
-    )
+    return _certified(problem, x_star, lam, float(abs(x_star.sum() - total)), xs.size,
+                      kkt_tol=max(1e-6, 10 * grid_step))

@@ -242,9 +242,11 @@ class ProblemSpec:
 
     def _build_stacks(self):
         n, m = self.n, self.m
-        self._quad_idx = [i for i, a in enumerate(self.agents) if a.objective.kind == "quadratic"]
+        self._quad_idx = np.array(
+            [i for i, a in enumerate(self.agents) if a.objective.kind == "quadratic"], dtype=int
+        )
         self._custom_idx = [i for i, a in enumerate(self.agents) if a.objective.kind == "custom"]
-        if self._quad_idx:
+        if self._quad_idx.size:
             self._Q2 = np.array([2.0 * self.agents[i].objective.Q for i in self._quad_idx])
             self._qc = np.array([self.agents[i].objective.c for i in self._quad_idx])
             self._Q = np.array([self.agents[i].objective.Q for i in self._quad_idx])
@@ -273,8 +275,8 @@ class ProblemSpec:
     def grad_all(self, X):
         """Stacked gradients, one row per agent."""
         G = np.empty_like(X)
-        if self._quad_idx:
-            sub = X[self._quad_idx]
+        if self._quad_idx.size:
+            sub = X.take(self._quad_idx, axis=0)
             G[self._quad_idx] = np.einsum("nij,nj->ni", self._Q2, sub) + self._qc
         for i in self._custom_idx:
             G[i] = grad(self.agents[i].objective, X[i])
@@ -283,7 +285,7 @@ class ProblemSpec:
     def objective_value(self, X):
         """Sum of local objective values; None when some value is unavailable."""
         total = 0.0
-        if self._quad_idx:
+        if self._quad_idx.size:
             sub = X[self._quad_idx]
             qx = np.einsum("nm,nm->n", sub, np.einsum("nij,nj->ni", self._Q, sub))
             total += float(qx.sum() + np.einsum("nm,nm->", self._qc, sub))
@@ -298,9 +300,9 @@ class ProblemSpec:
         """Project every row of Y onto its agent's set."""
         X = Y.copy()
         if self._box_idx.size:
-            X[self._box_idx] = np.clip(Y[self._box_idx], self._lo, self._hi)
+            X[self._box_idx] = np.clip(Y.take(self._box_idx, axis=0), self._lo, self._hi)
         for idxs, R, l, rn2 in self._poly_groups:
-            X[idxs] = project_polyhedron_batch(Y[idxs], R, l, rn2)
+            X[idxs] = project_polyhedron_batch(Y.take(idxs, axis=0), R, l, rn2)
         return X
 
     def membership_violations(self, X):

@@ -43,26 +43,22 @@ def _active_set(y, R, l, max_rounds=8):
     the linear-solve roundoff.
     """
     s = R @ y - l
-    act = set(np.nonzero(s > FEAS_TOL)[0].tolist())
-    if not act:
+    act = s > FEAS_TOL
+    if not act.any():
         return y
-    p = R.shape[0]
     for _ in range(max_rounds):
-        rows = sorted(act)
-        x, mu = _face_solve(y, R[rows], l[rows])
+        rows = act.nonzero()[0]
+        x, mu = _face_solve(y, R.take(rows, axis=0), l.take(rows))
         neg = mu < -1e-12
         if neg.any():
-            for k in np.nonzero(neg)[0]:
-                act.discard(rows[k])
-            if not act:
+            act[rows[neg]] = False
+            if not act.any():
                 return y if (s <= FEAS_TOL).all() else None
             continue
-        newly = np.nonzero(R @ x - l > 1e-11)[0]
-        if newly.size == 0:
+        newly = R @ x - l > 1e-11
+        if not newly.any():
             return x
-        act |= set(newly.tolist())
-        if len(act) > p:
-            return None
+        act |= newly
     return None
 
 
@@ -122,49 +118,49 @@ def project_polyhedron_batch(Y, R, l, rn2):
     Y is (n, m); R is (n, p, m); l and rn2 are (n, p).  Feasible rows are
     returned untouched; single-violation rows use the closed-form halfspace
     projection; rows with up to m violated constraints try one stacked face
-    solve; everything else goes through the per-row certified path.
+    solve.  All candidates are certified in one pass; the rest go through
+    the per-row certified path.
     """
     S = np.einsum("npm,nm->np", R, Y) - l
     badm = S > FEAS_TOL
-    if not badm.any():
+    nv = badm.sum(axis=1)
+    idx = nv.nonzero()[0]
+    if not idx.size:
         return Y
+    n, p, m = R.shape
     X = Y.copy()
-    idx = np.nonzero(badm.any(axis=1))[0]
-    nv = badm[idx].sum(axis=1)
-    m = Y.shape[1]
-    stubborn = []
+    # (agent, constraint) pairs index the flattened S and R
+    Sf, Rf = S.reshape(-1), R.reshape(-1, m)
+    failed = nv > m
+    tol = np.full(n, 1e-11)  # face candidates get _active_set's slack
 
-    one = idx[nv == 1]
+    one = (nv == 1).nonzero()[0]
     if one.size:
-        j = np.argmax(badm[one], axis=1)
-        Rj = R[one, j]
-        cand = Y[one] - (S[one, j] / rn2[one, j])[:, None] * Rj
-        ok = (np.einsum("npm,nm->np", R[one], cand) <= l[one] + FEAS_TOL).all(axis=1)
-        X[one[ok]] = cand[ok]
-        stubborn.extend(one[~ok])
+        f = one * p + badm.take(one, axis=0).argmax(axis=1)
+        step = Sf.take(f) / rn2.reshape(-1).take(f)
+        X[one] = Y.take(one, axis=0) - step[:, None] * Rf.take(f, axis=0)
+        tol[one] = FEAS_TOL
 
     for v in range(2, m + 1):
-        sub = idx[nv == v]
+        sub = (nv == v).nonzero()[0]
         if not sub.size:
             continue
-        g = sub.size
-        rows = np.nonzero(badm[sub])[1].reshape(g, v)
-        Ra = R[sub[:, None], rows]
-        G = Ra @ np.swapaxes(Ra, 1, 2)
-        rhs = S[sub[:, None], rows]
+        f = (sub * p)[:, None] + badm.take(sub, axis=0).nonzero()[1].reshape(sub.size, v)
+        Ra = Rf.take(f, axis=0)
         try:
-            mu = np.linalg.solve(G, rhs[..., None])[..., 0]
-            cand = Y[sub] - np.einsum("gvm,gv->gm", Ra, mu)
-            ok = (mu >= -1e-12).all(axis=1) & (
-                np.einsum("npm,nm->np", R[sub], cand) <= l[sub] + 1e-11
-            ).all(axis=1)
-            X[sub[ok]] = cand[ok]
-            stubborn.extend(sub[~ok])
+            mu = np.linalg.solve(Ra @ np.swapaxes(Ra, 1, 2), Sf.take(f)[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            stubborn.extend(sub)
+            failed[sub] = True
+            continue
+        X[sub] = Y.take(sub, axis=0) - np.einsum("gvm,gv->gm", Ra, mu)
+        failed[sub] |= ~(mu >= -1e-12).all(axis=1)
 
-    stubborn.extend(idx[nv > m])
-    for i in stubborn:
+    fit = (
+        np.einsum("npm,nm->np", R.take(idx, axis=0), X.take(idx, axis=0))
+        <= l.take(idx, axis=0) + tol.take(idx)[:, None]
+    ).all(axis=1)
+    failed[idx] |= ~fit
+    for i in failed.nonzero()[0]:
         X[i] = project_polyhedron(Y[i], R[i], l[i], rn2[i])
     return X
 

@@ -12,10 +12,14 @@ import numpy as np
 GRAPH, GRADIENT, RESOURCE, CHANNEL_LAMBDA, CHANNEL_Z, INIT = range(6)
 
 
+def subseed(*parts) -> int:
+    """The documented splitting function: a 64-bit seed derived from integer parts."""
+    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, np.uint64)[0])
+
+
 def path_seed(master_seed: int, path: int) -> int:
-    """The documented splitting function: derive path `path`'s seed."""
-    ss = np.random.SeedSequence((int(master_seed), int(path)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Path `path`'s seed under master seed `master_seed`."""
+    return subseed(master_seed, path)
 
 
 class PathStream:

@@ -1,11 +1,13 @@
-"""Per-iteration metric records and their CSV form."""
+"""Per-iteration metric records, their CSV form, and the JSON document writer."""
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-CSV_HEADER = "k,alpha,dist,obj,consensus,balance,state_norm"
+# the per-state metrics, in CSV column order
+METRICS = ("dist", "obj", "consensus", "balance", "state_norm")
 
 
 @dataclass
@@ -36,6 +38,23 @@ class Trace:
         if self.lyapunov is not None:
             cols["lyapunov"] = self.lyapunov
         return cols
+
+
+def build_trace(rows) -> Trace:
+    """The Trace of recorded rows, each a dict of k, alpha and the METRICS
+    (plus `lyapunov` from the flow); a column holding a None is absent."""
+    cols = {name: [row[name] for row in rows] for name in rows[0]}
+    return Trace(**{
+        name: None if any(v is None for v in vals)
+        else np.array(vals, dtype=int if name == "k" else float)
+        for name, vals in cols.items()
+    })
+
+
+def write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _fmt(v):
@@ -76,11 +95,7 @@ def read_csv(path) -> Trace:
             out[name] = np.array([int(c) for c in cells])
         else:
             out[name] = np.array([float(c) for c in cells])
-    return Trace(
-        k=out["k"], alpha=out["alpha"], consensus=out["consensus"],
-        balance=out["balance"], state_norm=out["state_norm"],
-        dist=out.get("dist"), obj=out.get("obj"), lyapunov=out.get("lyapunov"),
-    )
+    return Trace(**out)
 
 
 def mean_trace(traces) -> Trace:
@@ -98,13 +113,5 @@ def mean_trace(traces) -> Trace:
             return None
         return np.mean(np.stack(cols, axis=0), axis=0)
 
-    return Trace(
-        k=first.k.copy(),
-        alpha=first.alpha.copy(),
-        consensus=avg("consensus"),
-        balance=avg("balance"),
-        state_norm=avg("state_norm"),
-        dist=avg("dist"),
-        obj=avg("obj"),
-        lyapunov=avg("lyapunov"),
-    )
+    return Trace(k=first.k.copy(), alpha=first.alpha.copy(),
+                 **{name: avg(name) for name in METRICS + ("lyapunov",)})

@@ -202,6 +202,22 @@ def test_divergence_guard():
                  StepSchedule.constant(50.0), 5000, seed=0)
     assert err.value.iteration >= 1
 
+    # a NaN gradient must trip the guard too, not run on with a NaN state
+    from netalloc import flow, mean_laplacian
+
+    nan_obj = ObjectiveSpec.custom(lambda x: np.full_like(x, np.nan), lipschitz_hint=1.0)
+    agents = [AgentSpec(nan_obj, LocalSet.unconstrained(1), [0.0]) for _ in range(3)]
+    nan_problem = ProblemSpec(agents)
+    sched = StepSchedule.power(1.0, 0.6)
+    with pytest.raises(DivergenceError) as err:
+        run_path(nan_problem, model, NoiseConfig.noiseless(), sched, 50, seed=0)
+    assert err.value.iteration == 1 and np.isnan(err.value.norm)
+    mc = monte_carlo(nan_problem, model, NoiseConfig.noiseless(), sched, 50, paths=2,
+                     master_seed=0)
+    assert mc.diverged == [(0, 1), (1, 1)] and mc.mean_trace is None
+    with pytest.raises(DivergenceError):
+        flow(initial_state(nan_problem), nan_problem, mean_laplacian(model), h=1e-3, steps=10)
+
 
 def test_run_path_noiseless_converges_toward_oracle():
     from netalloc import solve_dual
