@@ -6,7 +6,7 @@ class NetallocError(Exception):
 
 
 class ProjectionError(NetallocError):
-    """Polyhedral projection failed to certify a solution within the iteration cap."""
+    """Polyhedral projection failed its membership certificate (or Dykstra its sweep cap)."""
 
     def __init__(self, message, membership_violation=None, sweep_change=None):
         super().__init__(message)

@@ -5,15 +5,17 @@ functions, safe to call concurrently.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GenerationError
 from .projection import (
-    project_polyhedron,
+    MAX_FACES,
+    face_count,
+    face_table,
     project_polyhedron_batch,
-    row_norms_sq,
     strict_interior_point,
 )
 
@@ -106,7 +108,8 @@ class LocalSet:
     """A closed convex feasibility set with an exact Euclidean projection.
 
     Kinds: `unconstrained`, `box` (componentwise bounds), `polyhedron`
-    ({x : R x <= l}, nonempty interior certified at construction).
+    ({x : R x <= l}, nonempty interior certified at construction, at most
+    MAX_FACES candidate faces).
     """
 
     kind: str
@@ -115,7 +118,6 @@ class LocalSet:
     hi: Optional[np.ndarray] = None
     R: Optional[np.ndarray] = None
     l: Optional[np.ndarray] = None
-    rn2: Optional[np.ndarray] = field(default=None, repr=False)
     interior_point: Optional[np.ndarray] = field(default=None, repr=False)
     interior_slack: Optional[float] = None
 
@@ -139,9 +141,11 @@ class LocalSet:
         l = np.asarray(l, dtype=float)
         if R.ndim != 2 or l.shape != (R.shape[0],):
             raise ValueError("polyhedron needs R (p x m) and l (p,)")
-        rn2 = row_norms_sq(R)
-        if (rn2 <= 0).any():
+        if not np.abs(R).max(axis=1).all():
             raise ValueError("polyhedron rows must be nonzero")
+        faces = face_count(*R.shape)
+        if faces > MAX_FACES:
+            raise ValueError(f"polyhedron has {faces} candidate faces, more than MAX_FACES = {MAX_FACES}")
         point, slack = strict_interior_point(R, l)
         if slack <= INTERIOR_SLACK:
             raise ValueError(
@@ -152,10 +156,14 @@ class LocalSet:
             m=R.shape[1],
             R=R,
             l=l,
-            rn2=rn2,
             interior_point=point,
             interior_slack=float(slack),
         )
+
+    @cached_property
+    def faces(self):
+        """The polyhedron's projection face table, built on first use."""
+        return face_table(self.R[None])
 
 
 def project(local_set: LocalSet, y) -> np.ndarray:
@@ -167,7 +175,7 @@ def project(local_set: LocalSet, y) -> np.ndarray:
         return y.copy()
     if local_set.kind == "box":
         return np.clip(y, local_set.lo, local_set.hi)
-    return project_polyhedron(y, local_set.R, local_set.l, local_set.rn2)
+    return project_polyhedron_batch(y[None], local_set.R[None], local_set.l[None], local_set.faces)[0].copy()
 
 
 def membership_violation(local_set: LocalSet, x) -> float:
@@ -257,7 +265,7 @@ class ProblemSpec:
         if self._box_idx.size:
             self._lo = np.array([self.agents[i].local_set.lo for i in self._box_idx])
             self._hi = np.array([self.agents[i].local_set.hi for i in self._box_idx])
-        # polyhedra stack together when the row counts match
+        # polyhedra stack together when the row counts match; one face table per distinct R
         poly = [(i, self.agents[i].local_set) for i in range(n) if self.agents[i].local_set.kind == "polyhedron"]
         self._poly_groups = []
         by_rows = {}
@@ -267,8 +275,7 @@ class ProblemSpec:
             idxs = np.array(idxs, dtype=int)
             R = np.array([self.agents[i].local_set.R for i in idxs])
             l = np.array([self.agents[i].local_set.l for i in idxs])
-            rn2 = np.array([self.agents[i].local_set.rn2 for i in idxs])
-            self._poly_groups.append((idxs, R, l, rn2))
+            self._poly_groups.append((idxs, R, l, face_table(R)))
 
     # -- batched operations used by the engines --
 
@@ -301,14 +308,19 @@ class ProblemSpec:
         X = Y.copy()
         if self._box_idx.size:
             X[self._box_idx] = np.clip(Y.take(self._box_idx, axis=0), self._lo, self._hi)
-        for idxs, R, l, rn2 in self._poly_groups:
-            X[idxs] = project_polyhedron_batch(Y.take(idxs, axis=0), R, l, rn2)
+        for idxs, R, l, table in self._poly_groups:
+            X[idxs] = project_polyhedron_batch(Y.take(idxs, axis=0), R, l, table)
         return X
 
     def membership_violations(self, X):
-        return np.array(
-            [membership_violation(a.local_set, X[i]) for i, a in enumerate(self.agents)]
-        )
+        """Per-agent `membership_violation` of the rows of X, batched."""
+        V = np.zeros(self.n)
+        if self._box_idx.size:
+            B = X.take(self._box_idx, axis=0)
+            V[self._box_idx] = np.maximum(self._lo - B, B - self._hi).max(axis=1)
+        for idxs, R, l, _ in self._poly_groups:
+            V[idxs] = (np.einsum("npm,nm->np", R, X.take(idxs, axis=0)) - l).max(axis=1)
+        return np.maximum(V, 0.0)
 
     def max_lipschitz(self):
         return max(a.objective.lipschitz() for a in self.agents)

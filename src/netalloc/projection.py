@@ -1,76 +1,125 @@
-"""Euclidean projection onto polyhedra {x : R x <= l}.
+"""Euclidean projection onto polyhedra {x : R x <= l}, exact and certified.
 
-The hot path certifies exactness through the KKT system of the projection
-problem: a candidate built from a working set of rows is accepted only when
-its multipliers are nonnegative and the full constraint system is satisfied.
-Points that resist certification fall back to Dykstra's alternating
-projections over the halfspaces (iteration cap 10_000, exit tolerance 1e-10).
+Face table: each linearly independent set F of at most min(p, m) rows maps the
+slacks s = R y - l linearly to mu_F = (R_F R_F')^-1 s_F, to s_F and to the
+offset R_F' mu_F, so x_F = y - R_F' mu_F is y projected onto {R_F x = l_F}.
+The maps are built once per distinct R and one GEMM evaluates every face.
+Selection: mu_F . s_F = ||y - x_F||^2 is twice the projection's dual value
+at mu_F; by weak duality it is at most ||y - P(y)||^2 when mu_F >= 0, with
+equality at P(y)'s own face, so the dual-feasible face of largest mu_F . s_F
+gives P(y).  Certificate: that x_F is returned only if R x_F <= l + FEAS_TOL
+(scaled by |l| where |l| > 1, as roundoff grows with it), completing its
+KKT conditions; otherwise ProjectionError is raised.
+Cap: polyhedra with more than MAX_FACES candidate faces are rejected by
+`LocalSet.polyhedron`.  `dykstra` stays as the tests' independent reference.
 """
+
+import math
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ProjectionError
 
-# slack for "already satisfies the constraint"
+# slack for "already satisfies the constraint", and the certificate's tolerance
 FEAS_TOL = 1e-12
-# membership tolerance every returned point must meet
+# membership tolerance of Dykstra's reference iteration
 MEMBER_TOL = 1e-9
+# largest face count a polyhedron may have (see face_count)
+MAX_FACES = 2048
 
 DYKSTRA_CAP = 10_000
 DYKSTRA_TOL = 1e-10
 
 
-def row_norms_sq(R):
-    return np.einsum("...pm,...pm->...p", R, R)
+def face_count(p, m):
+    """Row subsets of size 1..min(p, m): the candidate faces before the rank test."""
+    return sum(math.comb(p, k) for k in range(1, min(p, m) + 1))
 
 
-def _face_solve(y, Ra, la):
-    """Project y onto the affine face {x : Ra x = la}; returns (x, mu)."""
-    G = Ra @ Ra.T
-    rhs = Ra @ y - la
-    try:
-        mu = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        mu = np.linalg.lstsq(G, rhs, rcond=1e-10)[0]
-    return y - Ra.T @ mu, mu
+def face_table(R):
+    """Face table (maps, tid) of a (n, p, m) stack of constraint matrices.
 
-
-def _active_set(y, R, l, max_rounds=8):
-    """Certified projection via working-set rounds; None when not certified.
-
-    Starts from the violated rows, drops rows with negative multipliers and
-    adds rows the candidate violates.  On success the result is exact up to
-    the linear-solve roundoff.
+    Row i uses the distinct R number tid[i].  For its slacks s, `s @ maps[tid[i]]`
+    reshaped to (2w + m, faces), w = min(p, m), stacks mu_F, s_F (zero-padded
+    to w rows) and R_F' mu_F of every face, one face per column.  A set of rows
+    dependent in one R but not in another is all zeros there: the empty face,
+    of dual value 0.
     """
-    s = R @ y - l
-    act = s > FEAS_TOL
-    if not act.any():
-        return y
-    for _ in range(max_rounds):
-        rows = act.nonzero()[0]
-        x, mu = _face_solve(y, R.take(rows, axis=0), l.take(rows))
-        neg = mu < -1e-12
-        if neg.any():
-            act[rows[neg]] = False
-            if not act.any():
-                return y if (s <= FEAS_TOL).all() else None
-            continue
-        newly = R @ x - l > 1e-11
-        if not newly.any():
-            return x
-        act |= newly
-    return None
+    n, p, m = R.shape
+    Rs, tid = np.unique(R.reshape(n, p * m), axis=0, return_inverse=True)
+    Rs = Rs.reshape(-1, p, m)
+    w = min(p, m)
+    blocks, indep = [], []
+    for k in range(1, w + 1):
+        F = np.array(list(combinations(range(p), k)))
+        E = np.eye(p)[F]                                  # (c, k, p): s -> s_F
+        RF = Rs[:, F]                                     # (T, c, k, m)
+        ok = (np.linalg.matrix_rank(RF) == k)[..., None, None]
+        G = np.where(ok, RF @ np.swapaxes(RF, -1, -2), np.eye(k))
+        mu = np.linalg.inv(G) @ E * ok
+        pad = np.zeros(mu.shape[:2] + (w - k, p))
+        blocks.append(np.concatenate([mu, pad, E * ok, pad, np.swapaxes(RF, -1, -2) @ mu], axis=2))
+        indep.append(ok[..., 0, 0])
+    keep = np.concatenate(indep, axis=1).any(axis=0)
+    maps = np.concatenate(blocks, axis=1)[:, keep]        # (T, faces, 2w + m, p)
+    return np.ascontiguousarray(maps.transpose(0, 3, 2, 1)).reshape(len(Rs), p, -1), tid.reshape(n)
 
 
-def dykstra(y, R, l, rn2=None, tol=DYKSTRA_TOL, cap=DYKSTRA_CAP):
+def project_polyhedron_batch(Y, R, l, table):
+    """Project the rows of Y onto per-row polyhedra {x : R[i] x <= l[i]}.
+
+    Y is (n, m); R is (n, p, m); l is (n, p); `table` is `face_table(R)`.
+    Rows already inside (every slack <= FEAS_TOL) are returned untouched; the
+    others take the dual-feasible face of largest dual value and are
+    certified to FEAS_TOL * max(1, |l|).  Raises ProjectionError when a
+    certificate fails.
+    """
+    S = np.einsum("npm,nm->np", R, Y) - l
+    idx = (S > FEAS_TOL).any(axis=1).nonzero()[0]
+    if not idx.size:
+        return Y
+    Sv = S.take(idx, axis=0)
+    maps, tid = table
+    if len(maps) == 1:
+        out = Sv @ maps[0]
+    else:
+        out = np.einsum("kp,kpw->kw", Sv, maps.take(tid.take(idx), axis=0))
+    w = min(R.shape[1:])
+    out = out.reshape(idx.size, 2 * w + Y.shape[1], -1)
+    mu = out[:, :w]
+    value = (mu * out[:, w:2 * w]).sum(axis=1)
+    value[mu.min(axis=1) < 0.0] = -np.inf
+    Xv = Y.take(idx, axis=0) - out[np.arange(idx.size), 2 * w:, value.argmax(axis=1)]
+    lv = l.take(idx, axis=0)
+    viol = (np.einsum("kpm,km->kp", R.take(idx, axis=0), Xv) - lv) / np.maximum(1.0, np.abs(lv))
+    if not (viol <= FEAS_TOL).all():
+        worst = float(viol.max())
+        raise ProjectionError(
+            f"selected face misses the membership certificate by {worst:.3e} x max(1, |l|)",
+            membership_violation=worst,
+        )
+    X = Y.copy()
+    X[idx] = Xv
+    return X
+
+
+def project_polyhedron(y, R, l):
+    """Certified projection of a single point: a batch of one."""
+    R = np.asarray(R, dtype=float)[None]
+    Y = np.array(y, dtype=float)[None]
+    return project_polyhedron_batch(Y, R, np.asarray(l, dtype=float)[None], face_table(R))[0]
+
+
+def dykstra(y, R, l, tol=DYKSTRA_TOL, cap=DYKSTRA_CAP):
     """Dykstra's corrected alternating projections over the halfspaces.
 
-    Exits when the largest coordinate change over a full sweep drops below
-    `tol`.  Raises ProjectionError when the sweep cap is reached while the
-    iterate still violates membership by more than MEMBER_TOL.
+    An independent reference for the face-table projection.  Exits when the
+    largest coordinate change over a full sweep drops below `tol`.  Raises
+    ProjectionError when the sweep cap is reached while the iterate still
+    violates membership by more than MEMBER_TOL.
     """
-    if rn2 is None:
-        rn2 = row_norms_sq(R)
+    rn2 = np.einsum("pm,pm->p", R, R)
     p, m = R.shape
     x = y.astype(float).copy()
     corr = np.zeros((p, m))
@@ -99,72 +148,6 @@ def dykstra(y, R, l, rn2=None, tol=DYKSTRA_TOL, cap=DYKSTRA_CAP):
     return x
 
 
-def project_polyhedron(y, R, l, rn2=None):
-    """Exact-where-certified projection of a single point."""
-    if rn2 is None:
-        rn2 = row_norms_sq(R)
-    s = R @ y - l
-    if (s <= FEAS_TOL).all():
-        return np.array(y, dtype=float)
-    x = _active_set(y, R, l)
-    if x is None:
-        x = dykstra(y, R, l, rn2)
-    return x
-
-
-def project_polyhedron_batch(Y, R, l, rn2):
-    """Project the rows of Y onto per-row polyhedra.
-
-    Y is (n, m); R is (n, p, m); l and rn2 are (n, p).  Feasible rows are
-    returned untouched; single-violation rows use the closed-form halfspace
-    projection; rows with up to m violated constraints try one stacked face
-    solve.  All candidates are certified in one pass; the rest go through
-    the per-row certified path.
-    """
-    S = np.einsum("npm,nm->np", R, Y) - l
-    badm = S > FEAS_TOL
-    nv = badm.sum(axis=1)
-    idx = nv.nonzero()[0]
-    if not idx.size:
-        return Y
-    n, p, m = R.shape
-    X = Y.copy()
-    # (agent, constraint) pairs index the flattened S and R
-    Sf, Rf = S.reshape(-1), R.reshape(-1, m)
-    failed = nv > m
-    tol = np.full(n, 1e-11)  # face candidates get _active_set's slack
-
-    one = (nv == 1).nonzero()[0]
-    if one.size:
-        f = one * p + badm.take(one, axis=0).argmax(axis=1)
-        step = Sf.take(f) / rn2.reshape(-1).take(f)
-        X[one] = Y.take(one, axis=0) - step[:, None] * Rf.take(f, axis=0)
-        tol[one] = FEAS_TOL
-
-    for v in range(2, m + 1):
-        sub = (nv == v).nonzero()[0]
-        if not sub.size:
-            continue
-        f = (sub * p)[:, None] + badm.take(sub, axis=0).nonzero()[1].reshape(sub.size, v)
-        Ra = Rf.take(f, axis=0)
-        try:
-            mu = np.linalg.solve(Ra @ np.swapaxes(Ra, 1, 2), Sf.take(f)[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            failed[sub] = True
-            continue
-        X[sub] = Y.take(sub, axis=0) - np.einsum("gvm,gv->gm", Ra, mu)
-        failed[sub] |= ~(mu >= -1e-12).all(axis=1)
-
-    fit = (
-        np.einsum("npm,nm->np", R.take(idx, axis=0), X.take(idx, axis=0))
-        <= l.take(idx, axis=0) + tol.take(idx)[:, None]
-    ).all(axis=1)
-    failed[idx] |= ~fit
-    for i in failed.nonzero()[0]:
-        X[i] = project_polyhedron(Y[i], R[i], l[i], rn2[i])
-    return X
-
-
 def strict_interior_point(R, l, slack_threshold=1e-6, max_iter=2000):
     """Search for a strictly feasible point of {x : R x <= l}.
 
@@ -173,7 +156,7 @@ def strict_interior_point(R, l, slack_threshold=1e-6, max_iter=2000):
     Returns (point, slack); slack > `slack_threshold` certifies a nonempty
     interior.
     """
-    norms = np.sqrt(row_norms_sq(R))
+    norms = np.sqrt(np.einsum("pm,pm->p", R, R))
     Rh = R / norms[:, None]
     lh = l / norms
 
