@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import GenerationError
 from .projection import (
-    MAX_FACES,
-    face_count,
+    check_table,
     face_table,
     project_polyhedron_batch,
     strict_interior_point,
@@ -109,7 +108,7 @@ class LocalSet:
 
     Kinds: `unconstrained`, `box` (componentwise bounds), `polyhedron`
     ({x : R x <= l}, nonempty interior certified at construction, at most
-    MAX_FACES candidate faces).
+    MAX_FACES candidate faces, see `check_table`).
     """
 
     kind: str
@@ -143,9 +142,7 @@ class LocalSet:
             raise ValueError("polyhedron needs R (p x m) and l (p,)")
         if not np.abs(R).max(axis=1).all():
             raise ValueError("polyhedron rows must be nonzero")
-        faces = face_count(*R.shape)
-        if faces > MAX_FACES:
-            raise ValueError(f"polyhedron has {faces} candidate faces, more than MAX_FACES = {MAX_FACES}")
+        check_table(1, *R.shape)
         point, slack = strict_interior_point(R, l)
         if slack <= INTERIOR_SLACK:
             raise ValueError(
@@ -249,7 +246,6 @@ class ProblemSpec:
         self._build_stacks()
 
     def _build_stacks(self):
-        n, m = self.n, self.m
         self._quad_idx = np.array(
             [i for i, a in enumerate(self.agents) if a.objective.kind == "quadratic"], dtype=int
         )
@@ -266,16 +262,15 @@ class ProblemSpec:
             self._lo = np.array([self.agents[i].local_set.lo for i in self._box_idx])
             self._hi = np.array([self.agents[i].local_set.hi for i in self._box_idx])
         # polyhedra stack together when the row counts match; one face table per distinct R
-        poly = [(i, self.agents[i].local_set) for i in range(n) if self.agents[i].local_set.kind == "polyhedron"]
-        self._poly_groups = []
         by_rows = {}
-        for i, s in poly:
-            by_rows.setdefault(s.R.shape[0], []).append(i)
-        for rows, idxs in sorted(by_rows.items()):
-            idxs = np.array(idxs, dtype=int)
+        for i, a in enumerate(self.agents):
+            if a.local_set.kind == "polyhedron":
+                by_rows.setdefault(a.local_set.R.shape[0], []).append(i)
+        self._poly_groups = []
+        for _, idxs in sorted(by_rows.items()):
             R = np.array([self.agents[i].local_set.R for i in idxs])
             l = np.array([self.agents[i].local_set.l for i in idxs])
-            self._poly_groups.append((idxs, R, l, face_table(R)))
+            self._poly_groups.append((np.array(idxs), R, l, face_table(R)))
 
     # -- batched operations used by the engines --
 
@@ -346,6 +341,8 @@ def random_instance(seed, n, m, set_kind="box"):
         raise ValueError("need n >= 2 and m >= 1")
     if set_kind not in ("unconstrained", "box", "polyhedron"):
         raise ValueError(f"unknown set kind {set_kind!r}")
+    if set_kind == "polyhedron":
+        check_table(n, 2 * m + 2, m)  # a cap error is not a bad draw: raise it before the retries
     rng = np.random.default_rng(seed)
     for _ in range(100):
         try:

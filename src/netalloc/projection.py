@@ -1,17 +1,15 @@
 """Euclidean projection onto polyhedra {x : R x <= l}, exact and certified.
 
-Face table: each linearly independent set F of at most min(p, m) rows maps the
-slacks s = R y - l linearly to mu_F = (R_F R_F')^-1 s_F, to s_F and to the
-offset R_F' mu_F, so x_F = y - R_F' mu_F is y projected onto {R_F x = l_F}.
-The maps are built once per distinct R and one GEMM evaluates every face.
-Selection: mu_F . s_F = ||y - x_F||^2 is twice the projection's dual value
-at mu_F; by weak duality it is at most ||y - P(y)||^2 when mu_F >= 0, with
-equality at P(y)'s own face, so the dual-feasible face of largest mu_F . s_F
-gives P(y).  Certificate: that x_F is returned only if R x_F <= l + FEAS_TOL
-(scaled by |l| where |l| > 1, as roundoff grows with it), completing its
-KKT conditions; otherwise ProjectionError is raised.
-Cap: polyhedra with more than MAX_FACES candidate faces are rejected by
-`LocalSet.polyhedron`.  `dykstra` stays as the tests' independent reference.
+Face table: per distinct R, every linearly independent set F of at most
+min(p, m) rows maps the slacks s = R y - l linearly to mu_F = (R_F R_F')^-1 s_F,
+to the offset R_F' mu_F, so x_F = y - R_F' mu_F is y projected onto
+{R_F x = l_F}, and to the residuals R x_F - l = s - R R_F' mu_F; one GEMM
+evaluates every face.  Selection by the KKT conditions: x_F is stationary by
+construction, so P(y) is the dual-feasible (mu_F >= 0) face of least residual;
+a wrong face trails by its infeasibility, linear in its distance from P(y).
+Certificate: R x_F - l <= FEAS_TOL, scaled by max(1, |l|, |R| (|y| + |x_F|))
+as roundoff grows with those, or ProjectionError.  `check_table` caps the
+tables; `dykstra` stays as the tests' independent reference.
 """
 
 import math
@@ -25,8 +23,10 @@ from .errors import ProjectionError
 FEAS_TOL = 1e-12
 # membership tolerance of Dykstra's reference iteration
 MEMBER_TOL = 1e-9
-# largest face count a polyhedron may have (see face_count)
-MAX_FACES = 2048
+# caps on candidate faces per polyhedron (the DR template has 298) and on the
+# total size of one stack's tables: a row reads its whole table every step
+MAX_FACES = 512
+MAX_TABLE_BYTES = 32 * 2**20
 
 DYKSTRA_CAP = 10_000
 DYKSTRA_TOL = 1e-10
@@ -37,18 +37,28 @@ def face_count(p, m):
     return sum(math.comb(p, k) for k in range(1, min(p, m) + 1))
 
 
+def check_table(count, p, m):
+    """Raise ValueError unless `count` distinct p x m constraint matrices fit the caps."""
+    faces = face_count(p, m)
+    size = count * p * faces * (min(p, m) + m + p) * 8
+    if faces > MAX_FACES or size > MAX_TABLE_BYTES:
+        raise ValueError(f"{count} polyhedra of {p} x {m} need {faces} candidate faces each and {size} bytes of face "
+                         f"tables; the caps are MAX_FACES = {MAX_FACES} and MAX_TABLE_BYTES = {MAX_TABLE_BYTES}")
+
+
 def face_table(R):
     """Face table (maps, tid) of a (n, p, m) stack of constraint matrices.
 
     Row i uses the distinct R number tid[i].  For its slacks s, `s @ maps[tid[i]]`
-    reshaped to (2w + m, faces), w = min(p, m), stacks mu_F, s_F (zero-padded
-    to w rows) and R_F' mu_F of every face, one face per column.  A set of rows
-    dependent in one R but not in another is all zeros there: the empty face,
-    of dual value 0.
+    reshaped to (p + m + w, faces), w = min(p, m), stacks the residuals R x_F - l,
+    R_F' mu_F and mu_F (zero-padded to w rows) of every face, one face per
+    column.  A set of rows dependent in one R but not in another is the empty
+    face there: no multipliers, residuals s.
     """
     n, p, m = R.shape
     Rs, tid = np.unique(R.reshape(n, p * m), axis=0, return_inverse=True)
     Rs = Rs.reshape(-1, p, m)
+    check_table(len(Rs), p, m)
     w = min(p, m)
     blocks, indep = [], []
     for k in range(1, w + 1):
@@ -58,11 +68,12 @@ def face_table(R):
         ok = (np.linalg.matrix_rank(RF) == k)[..., None, None]
         G = np.where(ok, RF @ np.swapaxes(RF, -1, -2), np.eye(k))
         mu = np.linalg.inv(G) @ E * ok
+        off = np.swapaxes(RF, -1, -2) @ mu
         pad = np.zeros(mu.shape[:2] + (w - k, p))
-        blocks.append(np.concatenate([mu, pad, E * ok, pad, np.swapaxes(RF, -1, -2) @ mu], axis=2))
+        blocks.append(np.concatenate([np.eye(p) - Rs[:, None] @ off, off, mu, pad], axis=2))
         indep.append(ok[..., 0, 0])
     keep = np.concatenate(indep, axis=1).any(axis=0)
-    maps = np.concatenate(blocks, axis=1)[:, keep]        # (T, faces, 2w + m, p)
+    maps = np.concatenate(blocks, axis=1)[:, keep]        # (T, faces, p + m + w, p)
     return np.ascontiguousarray(maps.transpose(0, 3, 2, 1)).reshape(len(Rs), p, -1), tid.reshape(n)
 
 
@@ -71,8 +82,8 @@ def project_polyhedron_batch(Y, R, l, table):
 
     Y is (n, m); R is (n, p, m); l is (n, p); `table` is `face_table(R)`.
     Rows already inside (every slack <= FEAS_TOL) are returned untouched; the
-    others take the dual-feasible face of largest dual value and are
-    certified to FEAS_TOL * max(1, |l|).  Raises ProjectionError when a
+    others take the dual-feasible face of least residual and are certified to
+    FEAS_TOL * max(1, |l|, |R| (|y| + |x|)).  Raises ProjectionError when a
     certificate fails.
     """
     S = np.einsum("npm,nm->np", R, Y) - l
@@ -85,20 +96,19 @@ def project_polyhedron_batch(Y, R, l, table):
         out = Sv @ maps[0]
     else:
         out = np.einsum("kp,kpw->kw", Sv, maps.take(tid.take(idx), axis=0))
-    w = min(R.shape[1:])
-    out = out.reshape(idx.size, 2 * w + Y.shape[1], -1)
-    mu = out[:, :w]
-    value = (mu * out[:, w:2 * w]).sum(axis=1)
-    value[mu.min(axis=1) < 0.0] = -np.inf
-    Xv = Y.take(idx, axis=0) - out[np.arange(idx.size), 2 * w:, value.argmax(axis=1)]
-    lv = l.take(idx, axis=0)
-    viol = (np.einsum("kpm,km->kp", R.take(idx, axis=0), Xv) - lv) / np.maximum(1.0, np.abs(lv))
+    p, m = R.shape[1:]
+    out = out.reshape(idx.size, p + m + min(p, m), -1)
+    key = out[:, :p].max(axis=1)
+    key[out[:, p + m:].min(axis=1) < 0.0] = np.inf
+    Yv, Rv, lv = Y.take(idx, axis=0), R.take(idx, axis=0), l.take(idx, axis=0)
+    Xv = Yv - out[np.arange(idx.size), p:p + m, key.argmin(axis=1)]
+    viol = np.einsum("kpm,km->kp", Rv, Xv) - lv
     if not (viol <= FEAS_TOL).all():
-        worst = float(viol.max())
-        raise ProjectionError(
-            f"selected face misses the membership certificate by {worst:.3e} x max(1, |l|)",
-            membership_violation=worst,
-        )
+        # roundoff in R x - l grows with |l| and |R| (|y| + |x|); scaling can only loosen the test
+        viol /= np.maximum(np.maximum(np.abs(lv), np.einsum("kpm,km->kp", np.abs(Rv), np.abs(Yv) + np.abs(Xv))), 1.0)
+        if not (viol <= FEAS_TOL).all():
+            worst = float(viol.max())
+            raise ProjectionError(f"membership certificate missed by {worst:.3e}, scaled", membership_violation=worst)
     X = Y.copy()
     X[idx] = Xv
     return X
@@ -131,9 +141,7 @@ def dykstra(y, R, l, tol=DYKSTRA_TOL, cap=DYKSTRA_CAP):
             viol = (R[j] @ w - l[j]) / rn2[j]
             xn = w - viol * R[j] if viol > 0.0 else w
             corr[j] = w - xn
-            dd = np.abs(xn - x).max()
-            if dd > delta:
-                delta = dd
+            delta = max(delta, float(np.abs(xn - x).max()))
             x = xn
         if delta < tol:
             return x

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from netalloc import LocalSet, ProblemSpec, membership_violation, project, random_instance
+from netalloc import AgentSpec, LocalSet, ProblemSpec, membership_violation, project, random_instance
 from netalloc.experiments import demand_response_instance
 from netalloc.projection import MAX_FACES, dykstra, face_count, project_polyhedron
 
@@ -45,11 +45,15 @@ def kkt_residual(R, l, y, x):
     return member, -best[0], best[1]
 
 
-def assert_exact(R, l, y, x):
+def assert_kkt(R, l, y, x):
     member, mu_min, stat = kkt_residual(R, l, y, x)
     assert member <= KKT_TOL, f"membership violation {member:.3e} at y={y!r}"
     assert mu_min >= -KKT_TOL, f"negative multiplier {mu_min:.3e} at y={y!r}"
     assert stat <= KKT_TOL, f"stationarity residual {stat:.3e} at y={y!r}"
+
+
+def assert_exact(R, l, y, x):
+    assert_kkt(R, l, y, x)
     assert np.abs(x - dykstra(y, R, l)).max() <= DYKSTRA_AGREE
 
 
@@ -126,11 +130,82 @@ def test_face_cap_rejects_large_polyhedra():
     R = np.vstack([np.eye(m), -np.eye(m), np.ones((1, m)), -np.ones((1, m))])
     with pytest.raises(ValueError, match=str(face_count(p, m))):
         LocalSet.polyhedron(R, np.full(p, 2.0 * m))
-    # the cap admits random polyhedral instances up to m = 5
-    assert face_count(2 * 5 + 2, 5) <= MAX_FACES
-    problem = random_instance(0, 2, 5, set_kind="polyhedron")
-    X = problem.project_all(np.full((2, 5), 3.0))
+    # random polyhedral instances have 2m + 2 rows: m = 4 fits, m = 5 is refused
+    # with the face count, not with a failed retry
+    with pytest.raises(ValueError, match=str(face_count(2 * 5 + 2, 5))):
+        random_instance(0, 2, 5, set_kind="polyhedron")
+    problem = random_instance(0, 2, 4, set_kind="polyhedron")
+    X = problem.project_all(np.full((2, 4), 3.0))
     assert problem.membership_violations(X).max() <= 1e-12
+
+
+def test_table_bytes_cap_rejects_many_distinct_polyhedra():
+    with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+        random_instance(0, 400, 4, set_kind="polyhedron")
+    # one shared R needs one table, however many agents use it
+    problem, _ = demand_response_instance(0)
+    s = problem.agents[0].local_set
+    agents = [AgentSpec(a.objective, s, a.resource) for a in problem.agents for _ in range(40)]
+    assert len(ProblemSpec(agents).project_all(np.full((len(agents), s.m), 9.0))) == 400
+
+
+def test_near_ties_at_normal_cone_edges_meet_kkt():
+    """y just off an edge of a vertex's normal cone: two faces nearly tie in dual value.
+
+    A wrong face trails the right one in dual value by the square of its distance
+    from P(y), so selection by value alone returned a point infeasible by ~1e-9.
+    Only the KKT check applies: Dykstra crawls along such edges and stops
+    ~1e-9 short of P(y) on some of them.
+    """
+    R = np.array([[1.0, 0.0], [1.0, 1.0]])
+    for y2 in (1e-9, 1e-10):
+        x = project_polyhedron(np.array([1.0, y2]), R, np.zeros(2))
+        assert_exact(R, np.zeros(2), np.array([1.0, y2]), x)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for m in (2, 3):
+        p = 2 * m + 2
+        while checked < 400 * (m - 1):
+            Rr = rng.standard_normal((p, m))
+            Rr /= np.linalg.norm(Rr, axis=1, keepdims=True)
+            try:
+                s = LocalSet.polyhedron(Rr, Rr @ rng.uniform(-1, 1, m) + rng.uniform(0.4, 1.5, p))
+            except ValueError:
+                continue
+            for F in combinations(range(p), m):
+                RF = s.R[list(F)]
+                if abs(np.linalg.det(RF)) < 1e-3:
+                    continue
+                v = np.linalg.solve(RF, s.l[list(F)])
+                if (s.R @ v - s.l).max() > 0:
+                    continue
+                # the normal cone at vertex v is spanned by the rows in F; leave it
+                # by a hair along the edge where one multiplier is zero
+                for j in range(m):
+                    w = rng.uniform(0.5, 2.0, m)
+                    w[j] = rng.choice([1.0, -1.0]) * 10.0 ** -rng.integers(9, 13)
+                    y = v + RF.T @ w
+                    assert_kkt(s.R, s.l, y, project(s, y))
+                    checked += 1
+    assert checked >= 800
+
+
+def test_far_points_onto_cones_are_certified():
+    """With l = 0 the roundoff in R x - l grows with |R| |y|, not with |l|."""
+    rng = np.random.default_rng(19)
+    cones = [np.array([[0.6, 0.8]]), np.array([[0.6, 0.8], [-0.8, 0.6]]), np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])]
+    for R in cones:
+        l = np.zeros(len(R))
+        for scale in (1e5, 1e6):
+            for i in range(200):
+                y = rng.normal(0.0, scale, R.shape[1])
+                if i % 2:  # straight out along a row's normal, where x cancels to about 0
+                    y = R[i % len(R)] * abs(y[0])
+                x = project_polyhedron(y, R, l)
+                member, mu_min, stat = kkt_residual(R, l, y, x)
+                assert member <= KKT_TOL * scale
+                assert mu_min >= -KKT_TOL * scale
+                assert stat <= KKT_TOL * scale
 
 
 def test_membership_violations_match_per_agent():
