@@ -22,15 +22,7 @@ from .engine import (
     run_path,
     summarize_finals,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DivergenceError,
-    GenerationError,
-    InconsistencyError,
-    NetallocError,
-    ProjectionError,
-)
+from .errors import ConfigError, ConvergenceError, NetallocError
 from .experiments import demand_response_instance
 from .network import GraphModel, mean_laplacian, model_from_json, validate_model
 from .odeflow import equilibrium_construct, flow
@@ -242,7 +234,7 @@ def cmd_mc(args):
     result = monte_carlo(
         problem, model, noise, schedule, iterations=int(run["iterations"]),
         paths=int(run["paths"]), master_seed=int(run["seed"]), reference=reference,
-        cadence=int(run["cadence"]), threads=int(run["threads"]), keep_traces=True,
+        cadence=int(run["cadence"]), threads=int(run["threads"]),
     )
     paths_dir = os.path.join(out, "paths")
     os.makedirs(paths_dir, exist_ok=True)
@@ -358,8 +350,7 @@ def main(argv=None):
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)
         return 2
-    except (ConvergenceError, DivergenceError, ProjectionError, GenerationError,
-            InconsistencyError, NetallocError) as exc:
+    except NetallocError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)
         return 1

@@ -312,7 +312,6 @@ class RunResult:
     trace: Trace
     final_state: NetworkState
     final_metrics: dict
-    seed: int
     watched: Optional[np.ndarray] = None  # (records, len(watch)) allocation components
 
 
@@ -339,6 +338,38 @@ def check_divergence(state, iteration):
         raise DivergenceError(iteration=iteration, norm=norm)
 
 
+def iterate(state, problem, schedule, iterations, inputs, mean_L, reference=None, cadence=10,
+            watch=None):
+    """The step loop of every sample path and of the flow.
+
+    Step k = 0, ..., iterations-1 (k counts the steps taken in this call)
+    records the state before the step when k % cadence == 0, then applies
+    `apply_step` with step size step_size(schedule, k) and the (graph, draws)
+    pair `inputs(state)` returns, then checks the new state for divergence.
+    A record is a row of k, alpha and the METRICS, where k is the state's
+    own counter `state.k` (equal to the steps taken for a start with k = 0),
+    plus the allocation components listed by `watch` as (agent, component)
+    pairs.  Returns (final state, rows, watched rows).  Raises
+    DivergenceError, carrying the diverged state's counter, when the state
+    norm passes DIVERGENCE_GUARD or is not finite.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if cadence < 1:
+        raise ValueError("cadence must be >= 1")
+    rows, watched = [], []
+    for k in range(iterations):
+        alpha = step_size(schedule, k)
+        if k % cadence == 0:
+            rows.append({"k": state.k, "alpha": alpha,
+                         **state_metrics(state, problem, mean_L, reference)})
+            if watch:
+                watched.append([state.X[i, j] for i, j in watch])
+        state = apply_step(state, problem, *inputs(state), alpha)
+        check_divergence(state, state.k)
+    return state, rows, watched
+
+
 def run_path(
     problem: ProblemSpec,
     model: GraphModel,
@@ -351,50 +382,31 @@ def run_path(
     initial: Optional[NetworkState] = None,
     watch=None,
 ) -> RunResult:
-    """One sample path; deterministic for a fixed seed.
+    """One sample path of `iterate`; deterministic for a fixed seed.
 
-    Records metrics at iterations 0, cadence, 2*cadence, ... (the state
-    before the step), giving ceil(iterations/cadence) records; final-state
-    metrics are returned separately.  `watch` lists (agent, component)
-    pairs whose allocation values are recorded on the same grid.  Raises
-    DivergenceError when the state norm passes 1e12 or is not finite.
+    Each step draws its graph from `model` and its noise from the path's
+    streams.  The trace holds ceil(iterations/cadence) records, the states
+    before steps 0, cadence, 2*cadence, ...; final-state metrics are
+    returned separately.  `watch` lists (agent, component) pairs whose
+    allocation values are recorded on the same grid.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if cadence < 1:
-        raise ValueError("cadence must be >= 1")
     report = validate_model(model)
     if not report.passed:
         raise ValueError(f"graph model failed validation: {report}")
     mean_L = mean_laplacian(model)
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-
     stream = PathStream(seed)
     graph_gen = stream.channel(GRAPH)
-    state = initial.copy() if initial is not None else initial_state(problem)
-
-    rows = []
-    watched_rows = [] if watch else None
-    for k in range(iterations):
-        alpha = step_size(schedule, k)
-        if k % cadence == 0:
-            rows.append({"k": state.k, "alpha": alpha,
-                         **state_metrics(state, problem, mean_L, reference)})
-            if watch:
-                watched_rows.append([state.X[i, j] for i, j in watch])
-        graph = sample_graph(model, graph_gen)
-        state = apply_step(
-            state, problem, graph, draw_step_noise(noise, problem, state.X, stream), alpha
-        )
-        check_divergence(state, state.k)
-
+    state, rows, watched = iterate(
+        initial if initial is not None else initial_state(problem), problem, schedule,
+        iterations,
+        lambda s: (sample_graph(model, graph_gen), draw_step_noise(noise, problem, s.X, stream)),
+        mean_L, reference, cadence, watch,
+    )
     return RunResult(
         trace=build_trace(rows),
         final_state=state,
         final_metrics=state_metrics(state, problem, mean_L, reference),
-        seed=seed,
-        watched=np.array(watched_rows) if watch else None,
+        watched=np.array(watched) if watch else None,
     )
 
 
@@ -402,11 +414,11 @@ def run_path(
 class MonteCarloResult:
     paths: int
     mean_trace: Optional[Trace]
-    finals: list          # per completed path: final-metric dict (path index attached)
+    finals: list          # per completed path: (path, final-metric dict)
     diverged: list        # (path, iteration) pairs
     path_seeds: list
+    traces: list          # per completed path: (path, trace)
     watched_mean: Optional[np.ndarray] = None
-    traces: Optional[list] = None  # per-path traces when requested
 
     def summary(self):
         return summarize_finals([f for _, f in self.finals], self.paths, len(self.diverged))
@@ -429,13 +441,11 @@ def summarize_finals(finals, paths, diverged) -> dict:
 
 
 def _mc_worker(args):
-    (problem, model, noise, schedule, iterations, seed, reference, cadence, watch, p) = args
+    """One path's RunResult, or the iteration at which it diverged."""
     try:
-        res = run_path(problem, model, noise, schedule, iterations, seed,
-                       reference=reference, cadence=cadence, watch=watch)
-        return p, res.trace, res.final_metrics, res.watched, None
+        return run_path(*args)
     except DivergenceError as exc:
-        return p, None, None, None, exc.iteration
+        return exc.iteration
 
 
 def monte_carlo(
@@ -450,7 +460,6 @@ def monte_carlo(
     cadence: int = 10,
     threads: int = 1,
     watch=None,
-    keep_traces: bool = False,
 ) -> MonteCarloResult:
     """Average independent sample paths.
 
@@ -462,32 +471,26 @@ def monte_carlo(
     if paths < 1:
         raise ValueError("paths must be >= 1")
     seeds = [path_seed(master_seed, p) for p in range(paths)]
-    jobs = [
-        (problem, model, noise, schedule, iterations, seeds[p], reference, cadence, watch, p)
-        for p in range(paths)
-    ]
+    # run_path's positional arguments; None is the default initial state
+    jobs = [(problem, model, noise, schedule, iterations, seed, reference, cadence, None, watch)
+            for seed in seeds]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_mc_worker, jobs))
     else:
         results = [_mc_worker(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
 
     traces, finals, diverged, watched = [], [], [], []
-    kept = [] if keep_traces else None
-    for p, trace_p, final_p, watched_p, div_iter in results:
-        if div_iter is not None:
-            diverged.append((p, div_iter))
+    for p, res in enumerate(results):
+        if isinstance(res, RunResult):
+            traces.append((p, res.trace))
+            finals.append((p, res.final_metrics))
+            if res.watched is not None:
+                watched.append(res.watched)
         else:
-            traces.append(trace_p)
-            finals.append((p, final_p))
-            if keep_traces:
-                kept.append((p, trace_p))
-            if watched_p is not None:
-                watched.append(watched_p)
-    mt = mean_trace(traces) if traces else None
+            diverged.append((p, res))
     return MonteCarloResult(
-        paths=paths, mean_trace=mt, finals=finals, diverged=diverged, path_seeds=seeds,
+        paths=paths, mean_trace=mean_trace([t for _, t in traces]) if traces else None,
+        finals=finals, diverged=diverged, path_seeds=seeds, traces=traces,
         watched_mean=np.mean(np.stack(watched, axis=0), axis=0) if watched else None,
-        traces=kept,
     )

@@ -28,11 +28,12 @@ class DivergenceError(NetallocError):
     """State norm blew past the divergence guard."""
 
     def __init__(self, iteration, norm):
-        super().__init__(
-            f"state norm {norm:.3e} exceeded divergence guard at iteration {iteration}"
-        )
+        super().__init__(iteration, norm)
         self.iteration = iteration
         self.norm = norm
+
+    def __str__(self):
+        return f"state norm {self.norm:.3e} exceeded divergence guard at iteration {self.iteration}"
 
 
 class GenerationError(NetallocError):

@@ -27,7 +27,7 @@ from .network import GraphModel, mean_laplacian, validate_model, model_to_json
 from .oracle import solve_dual
 from .problem import AgentSpec, LocalSet, ObjectiveSpec, ProblemSpec, problem_to_json
 from .streams import subseed
-from .trace import write_csv, write_json
+from .trace import write_columns, write_csv, write_json
 
 N_AGGREGATORS = 10
 PERIODS = 3
@@ -192,12 +192,11 @@ class Experiment1Report:
         write_json(os.path.join(out_dir, "oracle.json"), self.oracle.to_json())
         write_csv(self.result.mean_trace, os.path.join(out_dir, "trace_mean.csv"))
         watched = self.result.watched_mean
-        ks = self.result.mean_trace.k
-        names = [f"agent{i}_p{self.config.watch_component}" for i in self.config.watch_agents]
-        with open(os.path.join(out_dir, "agents_mean.csv"), "w") as fh:
-            fh.write("k," + ",".join(names) + "\n")
-            for r in range(len(ks)):
-                fh.write(str(int(ks[r])) + "," + ",".join(repr(float(v)) for v in watched[r]) + "\n")
+        write_columns(os.path.join(out_dir, "agents_mean.csv"), {
+            "k": self.result.mean_trace.k,
+            **{f"agent{i}_p{self.config.watch_component}": watched[:, j]
+               for j, i in enumerate(self.config.watch_agents)},
+        })
         write_json(os.path.join(out_dir, "summary.json"), self.result.summary())
 
 
@@ -252,10 +251,8 @@ class Experiment2Report:
         })
         for index in ("dist", "obj_gap", "consensus", "balance"):
             edges, counts = self.histogram(index, bins=bins)
-            with open(os.path.join(out_dir, f"hist_{index}.csv"), "w") as fh:
-                fh.write("bin_lo,bin_hi,count\n")
-                for b in range(counts.size):
-                    fh.write(f"{edges[b]!r},{edges[b + 1]!r},{counts[b]}\n")
+            write_columns(os.path.join(out_dir, f"hist_{index}.csv"),
+                          {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": counts})
 
 
 def experiment2(config: ExperimentConfig, out_dir=None) -> Experiment2Report:

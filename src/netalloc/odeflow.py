@@ -6,8 +6,8 @@ exactly the optimality points of the coupled problem.  The projection acts
 on the allocation block only (multipliers and auxiliaries are free), so one
 Euler step is S+ = P(S + h J(S)) with the allocation rows projected onto
 their sets.  That step is the engine's step (`engine.apply_step`) with the
-mean graph, no noise and step size h, and the flow records the same
-metrics, through the same trace recorder, as the engine's sample paths.
+mean graph, no noise and step size h, and the flow runs the same step loop
+(`engine.iterate`), which records the same metrics as on a sample path.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import NetworkState, StepNoise, apply_step, check_divergence, state_metrics
+from .engine import NetworkState, StepNoise, StepSchedule, apply_step, iterate, state_metrics
 from .errors import InconsistencyError
 from .network import GraphSample
 from .problem import ProblemSpec
@@ -59,9 +59,7 @@ def lyapunov(state: NetworkState, equilibrium: NetworkState) -> float:
 
 @dataclass
 class FlowResult:
-    states: list            # cadence-thinned trajectory, first and last included
-    state_k: np.ndarray
-    lyapunov: Optional[np.ndarray]   # per-step series, length steps+1
+    lyapunov: Optional[np.ndarray]   # V after 0, 1, ..., steps steps
     final_state: NetworkState
     trace: Trace
 
@@ -78,48 +76,38 @@ def flow(
 ) -> FlowResult:
     """Integrate the projected dynamics for `steps` Euler steps.
 
-    Requires h * (2 * max gradient Lipschitz constant + 2 ||mean_L||) < 1.
-    The Lyapunov series (against a supplied equilibrium) is recorded at every
-    step.  With the default cadence the returned trajectory has steps+1
-    states; long integrations can thin states and trace metrics by passing a
-    larger `cadence`.
+    Runs the engine's step loop (`engine.iterate`) with the mean graph, no
+    noise and the constant step size h, so the trace holds the states after
+    0, cadence, 2*cadence, ... < steps steps, followed by the final state.
+    As on a sample path, the trace's k column is the state's own counter
+    `state.k`.  The Lyapunov series (against a supplied equilibrium) is
+    indexed by steps taken, from state0 through the final state, and fills
+    the trace's lyapunov column.  Requires
+    h * (2 * max gradient Lipschitz constant + 2 ||mean_L||) < 1.
     """
     stiff = 2.0 * problem.max_lipschitz() + 2.0 * float(np.linalg.norm(mean_L, 2))
     if h * stiff >= 1.0:
         raise ValueError(f"h too large for the stability heuristic (h*{stiff:.3g} >= 1)")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
 
     if reference is None and equilibrium is not None:
         reference = equilibrium.X
-    state = state0.copy()
-    lya = None
-    if equilibrium is not None:
-        lya = np.empty(steps + 1)
-        lya[0] = lyapunov(state, equilibrium)
-    states = [state.copy()]
-    state_k = [0]
-    rows = []
+    step_inputs = (GraphSample.from_laplacian(mean_L), StepNoise())
+    lya = []
 
-    def record(s, t):
-        rows.append({"k": t, "alpha": h, **state_metrics(s, problem, mean_L, reference),
-                     "lyapunov": lya[t] if lya is not None else None})
+    def inputs(state):
+        if equilibrium is not None:
+            lya.append(lyapunov(state, equilibrium))
+        return step_inputs
 
-    record(state, 0)
-    for t in range(1, steps + 1):
-        state = projected_euler_step(state, problem, mean_L, h)
-        if lya is not None:
-            lya[t] = lyapunov(state, equilibrium)
-        check_divergence(state, t)
-        if t % cadence == 0 or t == steps:
-            states.append(state.copy())
-            state_k.append(t)
-            record(state, t)
-
-    return FlowResult(
-        states=states, state_k=np.array(state_k), lyapunov=lya, final_state=state,
-        trace=build_trace(rows),
-    )
+    state, rows, _ = iterate(state0, problem, StepSchedule.constant(h), steps, inputs, mean_L,
+                             reference, cadence)
+    rows.append({"k": state.k, "alpha": h, **state_metrics(state, problem, mean_L, reference)})
+    trace = build_trace(rows)
+    if equilibrium is None:
+        return FlowResult(lyapunov=None, final_state=state, trace=trace)
+    lya = np.array(lya + [lyapunov(state, equilibrium)])
+    trace.lyapunov = lya[trace.k - state0.k]
+    return FlowResult(lyapunov=lya, final_state=state, trace=trace)
 
 
 @dataclass

@@ -115,7 +115,6 @@ class OracleSolution:
     stationarity_residuals: np.ndarray
     iterations_used: int
     kkt: Optional[KktReport] = None
-    all_constraints_active: bool = False
 
     def to_json(self):
         return {
@@ -131,15 +130,6 @@ class OracleSolution:
         }
 
 
-def _has_active_constraint(agent: AgentSpec, x, tol=1e-7):
-    s = agent.local_set
-    if s.kind == "unconstrained":
-        return False
-    if s.kind == "box":
-        return bool(((x - s.lo) < tol).any() or ((s.hi - x) < tol).any())
-    return bool((s.l - s.R @ x < tol).any())
-
-
 def _certified(problem: ProblemSpec, X, lam, residual, iterations, kkt_tol) -> OracleSolution:
     """The solution (X, lam) with its KKT report at tolerance kkt_tol."""
     report = kkt_check(problem, X, lam, tol=kkt_tol)
@@ -150,9 +140,6 @@ def _certified(problem: ProblemSpec, X, lam, residual, iterations, kkt_tol) -> O
         stationarity_residuals=report.stationarity,
         iterations_used=iterations,
         kkt=report,
-        all_constraints_active=all(
-            _has_active_constraint(agent, X[i]) for i, agent in enumerate(problem.agents)
-        ),
     )
 
 

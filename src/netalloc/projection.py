@@ -156,13 +156,12 @@ def dykstra(y, R, l, tol=DYKSTRA_TOL, cap=DYKSTRA_CAP):
     return x
 
 
-def strict_interior_point(R, l, slack_threshold=1e-6, max_iter=2000):
+def strict_interior_point(R, l, max_iter=2000):
     """Search for a strictly feasible point of {x : R x <= l}.
 
     Maximizes the normalized slack min_j (l_j - r_j.x)/||r_j|| by subgradient
     ascent with diminishing steps, starting from a least-squares anchor.
-    Returns (point, slack); slack > `slack_threshold` certifies a nonempty
-    interior.
+    Returns (point, slack); a positive slack certifies a nonempty interior.
     """
     norms = np.sqrt(np.einsum("pm,pm->p", R, R))
     Rh = R / norms[:, None]

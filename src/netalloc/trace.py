@@ -57,26 +57,27 @@ def write_json(path, doc):
         fh.write("\n")
 
 
-def _fmt(v):
-    return repr(float(v))
+def _cells(col, rows):
+    if col is None:
+        return [""] * rows
+    col = np.asarray(col)
+    if np.issubdtype(col.dtype, np.integer):
+        return [str(int(v)) for v in col]
+    return [repr(float(v)) for v in col]
+
+
+def write_columns(path, cols):
+    """Write a dict of equal-length columns as CSV: integer columns as int,
+    the others as shortest-repr floats, a None column as empty cells."""
+    rows = max(len(col) for col in cols.values() if col is not None)
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for cells in zip(*(_cells(col, rows) for col in cols.values())):
+            fh.write(",".join(cells) + "\n")
 
 
 def write_csv(trace: Trace, path):
-    cols = trace.columns()
-    names = list(cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in range(len(trace)):
-            cells = []
-            for name in names:
-                col = cols[name]
-                if col is None:
-                    cells.append("")
-                elif name == "k":
-                    cells.append(str(int(col[row])))
-                else:
-                    cells.append(_fmt(col[row]))
-            fh.write(",".join(cells) + "\n")
+    write_columns(path, trace.columns())
 
 
 def read_csv(path) -> Trace:

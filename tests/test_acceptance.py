@@ -98,7 +98,6 @@ def test_criterion_2_experiment1_desk_scale(dr_setting):
         ),
         StepSchedule.power(1.0, 0.6), iterations=8000, paths=50,
         master_seed=0, reference=oracle.X_star, cadence=10, threads=2,
-        keep_traces=True,
     )
     elapsed = time.perf_counter() - t0
     finals = np.array([f["dist"] for _, f in mc.finals])

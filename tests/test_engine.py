@@ -252,8 +252,7 @@ def test_monte_carlo_mean_is_mean_of_paths():
     noise = NoiseConfig(gradient=GaussianNoise(0.5), resource=GaussianNoise(0.5),
                         channel_lambda=GaussianNoise(0.5), channel_z=GaussianNoise(0.5))
     sched = StepSchedule.power(1.0, 0.6)
-    mc = monte_carlo(problem, model, noise, sched, 200, paths=5, master_seed=2,
-                     keep_traces=True)
+    mc = monte_carlo(problem, model, noise, sched, 200, paths=5, master_seed=2)
     stack = np.stack([t.balance for _, t in mc.traces], axis=0)
     np.testing.assert_allclose(mc.mean_trace.balance, stack.mean(axis=0), atol=1e-12)
 

@@ -103,8 +103,11 @@ def test_experiment2_round_count_and_histograms(tmp_path):
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "bin_lo,bin_hi,count"
         assert len(rows) == 21  # 20 bins
-        counts = [int(r.split(",")[2]) for r in rows[1:]]
-        assert sum(counts) == 2
+        cells = [r.split(",") for r in rows[1:]]
+        assert sum(int(c[2]) for c in cells) == 2
+        lo = [float(c[0]) for c in cells]
+        hi = [float(c[1]) for c in cells]
+        assert lo[1:] == hi[:-1]
     # nonzero initial values so decay ratios are well defined
     for rec in rep.rounds:
         assert rec["initial"]["consensus"] > 0

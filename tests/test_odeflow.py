@@ -23,6 +23,8 @@ from netalloc import (
     run_path,
     solve_dual,
 )
+from netalloc.engine import state_metrics
+from netalloc.trace import METRICS
 
 K2_LAP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -272,5 +274,58 @@ def test_flow_trace_alpha_carries_h():
 def test_flow_default_trajectory_length():
     problem = scalar_problem()
     res = flow(initial_state(problem), problem, K2_LAP, h=1e-3, steps=250)
-    assert len(res.states) == 251
-    np.testing.assert_array_equal(res.state_k, np.arange(251))
+    assert len(res.trace) == 251
+    np.testing.assert_array_equal(res.trace.k, np.arange(251))
+
+
+def _reference_flow(state0, problem, mean_L, h, steps, equilibrium, cadence):
+    """The flow written as its own loop: Euler steps, the Lyapunov value after
+    every step, and a metric record after 0, cadence, 2*cadence, ... steps
+    and after the last one."""
+    state = state0
+    lya = [lyapunov(state, equilibrium)]
+    records = [(0, state_metrics(state, problem, mean_L, equilibrium.X))]
+    for t in range(1, steps + 1):
+        state = projected_euler_step(state, problem, mean_L, h)
+        lya.append(lyapunov(state, equilibrium))
+        if t % cadence == 0 or t == steps:
+            records.append((t, state_metrics(state, problem, mean_L, equilibrium.X)))
+    return records, np.array(lya), state
+
+
+@pytest.mark.parametrize("steps,cadence", [(5, 1), (5, 10), (1000, 7), (250, 1)])
+def test_flow_matches_reference_loop_exactly(steps, cadence):
+    problem = random_instance(5, 4, 2, set_kind="polyhedron")
+    mean_L = mean_laplacian(ring_model(4))
+    sol = solve_dual(problem, tol=1e-10)
+    eq = equilibrium_construct(problem, mean_L, sol.X_star, sol.lambda_star)
+    rng = np.random.default_rng(9)
+    start = NetworkState(X=problem.project_all(rng.standard_normal((4, 2))),
+                         Lam=rng.standard_normal((4, 2)), Z=rng.standard_normal((4, 2)))
+    res = flow(start, problem, mean_L, h=1e-3, steps=steps, equilibrium=eq.state,
+               cadence=cadence)
+    records, lya, final = _reference_flow(start, problem, mean_L, 1e-3, steps, eq.state, cadence)
+
+    ks = np.array([t for t, _ in records])
+    np.testing.assert_array_equal(res.trace.k, ks)
+    np.testing.assert_array_equal(res.trace.alpha, np.full(ks.size, 1e-3))
+    for name in METRICS:
+        np.testing.assert_array_equal(getattr(res.trace, name),
+                                      np.array([m[name] for _, m in records]))
+    np.testing.assert_array_equal(res.lyapunov, lya)
+    np.testing.assert_array_equal(res.trace.lyapunov, lya[ks])
+    for block in ("X", "Lam", "Z"):
+        np.testing.assert_array_equal(getattr(res.final_state, block), getattr(final, block))
+
+
+def test_flow_start_with_nonzero_counter():
+    """The trace's k column carries the state's counter; the Lyapunov series
+    is indexed by steps taken."""
+    problem = scalar_problem()
+    eq = NetworkState(X=np.zeros((2, 1)), Lam=np.zeros((2, 1)), Z=np.zeros((2, 1)))
+    start = NetworkState(X=np.array([[0.3], [-0.1]]), Lam=np.zeros((2, 1)),
+                         Z=np.zeros((2, 1)), k=40)
+    res = flow(start, problem, K2_LAP, h=1e-3, steps=25, equilibrium=eq, cadence=10)
+    np.testing.assert_array_equal(res.trace.k, [40, 50, 60, 65])
+    assert res.final_state.k == 65 and res.lyapunov.size == 26
+    np.testing.assert_array_equal(res.trace.lyapunov, res.lyapunov[[0, 10, 20, 25]])
