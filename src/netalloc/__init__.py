@@ -87,5 +87,5 @@ from .problem import (
     random_instance,
     stationarity_residual,
 )
-from .streams import PathStream, path_seed
+from .streams import STREAM_VERSION, PathStream, path_seed
 from .trace import Trace, mean_trace, read_csv, write_csv

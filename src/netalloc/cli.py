@@ -9,6 +9,7 @@ fields.  Exit codes: 0 ok, 1 numeric/convergence failure, 2 config error.
 import argparse
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ from .network import GraphModel, mean_laplacian, model_from_json, validate_model
 from .odeflow import equilibrium_construct, flow
 from .oracle import kkt_check, solve_dual
 from .problem import problem_from_json
+from .streams import STREAM_VERSION
 from .trace import mean_trace, read_csv, write_csv, write_json
 
 
@@ -126,6 +128,10 @@ def prepare_out(args, command, config, overrides):
         "command": command,
         "version": __version__,
         "seed": run_section(config).get("seed"),
+        "stream_version": STREAM_VERSION,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "overrides": overrides,
         "config": config,
     })

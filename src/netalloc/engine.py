@@ -4,8 +4,9 @@ Synchronous rounds: every agent updates its allocation, multiplier and
 consensus auxiliary from the time-k state.  The allocation update is
 projected onto the agent's feasible set, so feasibility holds after every
 step.  The multiplier received from a neighbor carries one shared noise
-realization per (receiver, sender, step): the same draw enters both the
-multiplier and the auxiliary update lines.
+realization per (receiver, sender, step), drawn only for the links of the
+step's graph: the same draw enters both the multiplier and the auxiliary
+update lines.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -201,13 +202,20 @@ class StepNoise:
 
     nu: Optional[np.ndarray] = None       # (n, m) gradient noise
     delta: Optional[np.ndarray] = None    # (n, m) resource noise
-    zeta: Optional[np.ndarray] = None     # (n, n, m) multiplier channel noise
-    eps: Optional[np.ndarray] = None      # (n, n, m) auxiliary channel noise
+    zeta: Optional[np.ndarray] = None     # multiplier channel noise: (E, m) per edge or (n, n, m)
+    eps: Optional[np.ndarray] = None      # auxiliary channel noise, shaped like zeta
 
 
-def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStream) -> StepNoise:
-    """Draw one step's noise from the per-channel streams."""
+def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStream,
+                    graph: Optional[GraphSample] = None) -> StepNoise:
+    """Draw one step's noise from the per-channel streams.
+
+    The channel noises zeta and eps are drawn as (E, m), one row per edge of
+    `graph` in its edge order (stream version 2), or as all-pairs (n, n, m)
+    arrays, indexed [receiver, sender], when no graph is given.
+    """
     n, m = problem.n, problem.m
+    links = (n, n, m) if graph is None else (graph.dst.size, m)
     draws = StepNoise()
     g = noise.gradient
     if isinstance(g, GaussianNoise):
@@ -221,10 +229,9 @@ def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStr
         draws.delta = noise.resource.sigma * stream.channel(RESOURCE).standard_normal((n, m))
     if noise.channel_lambda is not None:
         draws.zeta = noise.channel_lambda.sigma * stream.channel(CHANNEL_LAMBDA).standard_normal(
-            (n, n, m)
-        )
+            links)
     if noise.channel_z is not None:
-        draws.eps = noise.channel_z.sigma * stream.channel(CHANNEL_Z).standard_normal((n, n, m))
+        draws.eps = noise.channel_z.sigma * stream.channel(CHANNEL_Z).standard_normal(links)
     return draws
 
 
@@ -232,13 +239,17 @@ def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStr
 # the recursion
 
 
+def edge_noise(graph: GraphSample, draws: StepNoise):
+    """The channel draws (zeta, eps) on the graph's edges, (E, m) each; an
+    all-pairs draw is gathered as zeta[dst, src], None stays None."""
+    return tuple(d[graph.dst, graph.src] if d is not None and d.ndim == 3 else d
+                 for d in (draws.zeta, draws.eps))
+
+
 def received_noise(graph: GraphSample, draws: StepNoise):
     """Received multiplier and auxiliary channel noise, each summed over
     in-neighbors: (zrow, erow), 0.0 for a disabled channel."""
-    A = graph.adjacency
-    zrow = np.einsum("ij,ijm->im", A, draws.zeta) if draws.zeta is not None else 0.0
-    erow = np.einsum("ij,ijm->im", A, draws.eps) if draws.eps is not None else 0.0
-    return zrow, erow
+    return graph.scatter(*edge_noise(graph, draws))
 
 
 def apply_step(
@@ -248,7 +259,6 @@ def apply_step(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     X, Lam, Z = state.X, state.Lam, state.Z
-    L = graph.laplacian
 
     gradX = problem.grad_all(X)
     if draws.nu is not None:
@@ -258,9 +268,16 @@ def apply_step(
     res = problem.D - X
     if draws.delta is not None:
         res = res + draws.delta
-    zrow, erow = received_noise(graph, draws)
-    LLam = L @ Lam
-    Ln = Lam + alpha * (res - LLam - L @ Z + zrow + erow)
+    L = graph.dense_laplacian
+    if L is None:
+        # L @ V sums w * (V[dst] - V[src]) onto dst, in the noise's scatter
+        zrow, erow, LLam, LZ = graph.scatter(*edge_noise(graph, draws),
+                                             Lam[graph.dst] - Lam[graph.src],
+                                             Z[graph.dst] - Z[graph.src])
+    else:
+        zrow, erow = received_noise(graph, draws)
+        LLam, LZ = L @ Lam, L @ Z
+    Ln = Lam + alpha * (res - LLam - LZ + zrow + erow)
     Zn = Z + alpha * (LLam - zrow)
     return NetworkState(X=Xn, Lam=Ln, Z=Zn, k=state.k + 1)
 
@@ -273,8 +290,8 @@ def sa_step(
     alpha: float,
     stream: PathStream,
 ) -> NetworkState:
-    """Draw this step's noise and apply the recursion."""
-    draws = draw_step_noise(noise, problem, state.X, stream)
+    """Draw this step's noise on the graph's edges and apply the recursion."""
+    draws = draw_step_noise(noise, problem, state.X, stream, graph)
     return apply_step(state, problem, graph, draws, alpha)
 
 
@@ -385,9 +402,9 @@ def run_path(
     """One sample path of `iterate`; deterministic for a fixed seed.
 
     Each step draws its graph from `model` and its noise from the path's
-    streams.  The trace holds ceil(iterations/cadence) records, the states
-    before steps 0, cadence, 2*cadence, ...; final-state metrics are
-    returned separately.  `watch` lists (agent, component) pairs whose
+    streams, the channel noise on that graph's edges.  The trace holds
+    ceil(iterations/cadence) records, the states before steps 0, cadence,
+    2*cadence, ...; final-state metrics are returned separately.  `watch` lists (agent, component) pairs whose
     allocation values are recorded on the same grid.
     """
     report = validate_model(model)
@@ -396,11 +413,14 @@ def run_path(
     mean_L = mean_laplacian(model)
     stream = PathStream(seed)
     graph_gen = stream.channel(GRAPH)
+
+    def inputs(s):
+        graph = sample_graph(model, graph_gen)
+        return graph, draw_step_noise(noise, problem, s.X, stream, graph)
+
     state, rows, watched = iterate(
         initial if initial is not None else initial_state(problem), problem, schedule,
-        iterations,
-        lambda s: (sample_graph(model, graph_gen), draw_step_noise(noise, problem, s.X, stream)),
-        mean_L, reference, cadence, watch,
+        iterations, inputs, mean_L, reference, cadence, watch,
     )
     return RunResult(
         trace=build_trace(rows),

@@ -4,6 +4,8 @@ Per-step graphs may be directed; only the mean Laplacian must be symmetric
 with positive algebraic connectivity for the allocation dynamics to mix.
 Sampled adjacencies are 0/1 with zero diagonal; weighted adjacencies are
 accepted for diagnostics (e.g. stepping the recursion with the mean graph).
+A drawn graph is a list of directed edges, so a gossip or broadcast step
+touches its own links only and never builds an n x n matrix.
 """
 
 from dataclasses import dataclass, field
@@ -12,34 +14,77 @@ from typing import Optional
 import numpy as np
 
 
-def laplacian(adjacency) -> np.ndarray:
-    """Graph Laplacian: degree matrix minus adjacency. Rows sum to zero."""
+def _adjacency(adjacency) -> np.ndarray:
     A = np.asarray(adjacency, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("adjacency must be square")
     if np.abs(np.diag(A)).max(initial=0.0) != 0.0:
         raise ValueError("adjacency diagonal must be zero")
+    return A
+
+
+def laplacian(adjacency) -> np.ndarray:
+    """Graph Laplacian: degree matrix minus adjacency. Rows sum to zero."""
+    A = _adjacency(adjacency)
     return np.diag(A.sum(axis=1)) - A
 
 
 @dataclass
 class GraphSample:
-    """One drawn communication graph: adjacency[i, j] = 1 iff i hears j."""
+    """One drawn communication graph as directed edges: dst[e] hears src[e]
+    with weight w[e].
+
+    The edge order is the order in which per-link channel noise is drawn.
+    `dense_laplacian` is held only by samples that already have one (a pool
+    member's precomputed Laplacian, the mean graph); the recursion multiplies
+    by it there and scatters over the edges otherwise.
+    """
 
     n: int
-    adjacency: np.ndarray
-    laplacian: np.ndarray
+    dst: np.ndarray
+    src: np.ndarray
+    w: np.ndarray
+    dense_laplacian: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
-    def from_adjacency(cls, adjacency):
-        A = np.asarray(adjacency, dtype=float)
-        return cls(n=A.shape[0], adjacency=A, laplacian=laplacian(A))
+    def from_adjacency(cls, adjacency, dense_laplacian=None):
+        """The edges of a square, zero-diagonal adjacency, in row-major order."""
+        A = _adjacency(adjacency)
+        dst, src = np.nonzero(A)
+        return cls(n=A.shape[0], dst=dst, src=src, w=A[dst, src],
+                   dense_laplacian=dense_laplacian)
 
     @classmethod
     def from_laplacian(cls, L):
         """The weighted graph whose Laplacian is L, e.g. the mean graph."""
         L = np.asarray(L, dtype=float)
-        return cls(n=L.shape[0], adjacency=np.diag(np.diag(L)) - L, laplacian=L)
+        return cls.from_adjacency(np.diag(np.diag(L)) - L, dense_laplacian=L)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        A = np.zeros((self.n, self.n))
+        A[self.dst, self.src] = self.w
+        return A
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        if self.dense_laplacian is not None:
+            return self.dense_laplacian
+        return laplacian(self.adjacency)
+
+    def scatter(self, *cols):
+        """Weighted sums onto the receivers: each (E, m) block becomes the
+        (n, m) array sum over edges e into i of w[e] * col[e], all in one
+        np.bincount.  A None block gives 0.0."""
+        live = [c for c in cols if c is not None]
+        if not live:
+            return (0.0,) * len(cols)
+        k, m = len(live), live[0].shape[1]
+        vals = np.concatenate(live, axis=1) * self.w[:, None]
+        idx = (self.dst[:, None] * (k * m) + np.arange(k * m)).ravel()
+        out = np.bincount(idx, vals.ravel(), minlength=self.n * k * m).reshape(self.n, k, m)
+        sums = iter(out.transpose(1, 0, 2))
+        return tuple(0.0 if c is None else next(sums) for c in cols)
 
 
 @dataclass
@@ -57,6 +102,10 @@ class GraphModel:
     gossip:           a single uniformly random undirected edge per step.
     broadcast:        a single uniformly random node wakes and is heard by
                       its neighbors in a base graph.
+
+    The pool members' edge samples, the exact mean Laplacian and the
+    validation report are computed once, on first use, and kept in the
+    model: a model is not to be changed after it has been used.
     """
 
     kind: str
@@ -67,6 +116,10 @@ class GraphModel:
     p_lo: Optional[float] = None
     p_hi: Optional[float] = None
     pool_size: Optional[int] = None
+    _pool: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _mean_L: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
+    _report: Optional["ValidationReport"] = field(default=None, init=False, compare=False,
+                                                  repr=False)
 
     @classmethod
     def fixed_pool(cls, graphs):
@@ -112,29 +165,42 @@ class GraphModel:
 
 
 def sample_graph(model: GraphModel, rng) -> GraphSample:
-    """One i.i.d. draw from the model, consuming `rng` deterministically."""
+    """One i.i.d. draw from the model, consuming `rng` deterministically.
+
+    Edge order: a pool member's adjacency in row-major order (the member
+    also carries its dense Laplacian); for gossip on the pair (i, j), i
+    hears j and then j hears i; for broadcast from node v, v's neighbors in
+    increasing order hear v.
+    """
     n = model.n
     if model.kind in ("fixed_pool", "erdos_renyi_pool"):
-        k = int(rng.integers(0, model.graphs.shape[0]))
-        return GraphSample(n=n, adjacency=model.graphs[k], laplacian=model.laplacians[k])
+        if model._pool is None:
+            model._pool = [GraphSample.from_adjacency(A, dense_laplacian=L)
+                           for A, L in zip(model.graphs, model.laplacians)]
+        return model._pool[int(rng.integers(0, len(model._pool)))]
     if model.kind == "gossip":
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n - 1))
         if j >= i:
             j += 1
-        A = np.zeros((n, n))
-        A[i, j] = A[j, i] = 1.0
-        return GraphSample.from_adjacency(A)
+        return GraphSample(n=n, dst=np.array([i, j]), src=np.array([j, i]), w=np.ones(2))
     if model.kind == "broadcast":
-        w = int(rng.integers(0, n))
-        A = np.zeros((n, n))
-        A[:, w] = model.base[w]
-        return GraphSample.from_adjacency(A)
+        v = int(rng.integers(0, n))
+        dst = np.flatnonzero(model.base[v])
+        return GraphSample(n=n, dst=dst, src=np.full(dst.size, v), w=model.base[v, dst])
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
 def mean_laplacian(model: GraphModel) -> np.ndarray:
-    """Exact expectation of the per-step Laplacian."""
+    """Exact expectation of the per-step Laplacian, computed once per model
+    and returned read-only."""
+    if model._mean_L is None:
+        model._mean_L = _mean_laplacian(model)
+    model._mean_L.flags.writeable = False  # again here: an unpickled copy comes back writeable
+    return model._mean_L
+
+
+def _mean_laplacian(model: GraphModel) -> np.ndarray:
     n = model.n
     if model.kind in ("fixed_pool", "erdos_renyi_pool"):
         return model.laplacians.mean(axis=0)
@@ -191,15 +257,18 @@ class ValidationReport:
 
 
 def validate_model(model: GraphModel) -> ValidationReport:
-    """Check that the exact mean Laplacian is symmetric with s2 > 1e-8."""
-    Lbar = mean_laplacian(model)
-    defect = float(np.abs(Lbar - Lbar.T).max())
-    if defect < 1e-8:
-        s2 = float(np.linalg.eigvalsh(0.5 * (Lbar + Lbar.T))[1])
-    else:
-        s2 = float("nan")
-    passed = defect < 1e-8 and s2 > 1e-8
-    return ValidationReport(symmetry_defect=defect, s2=s2, passed=passed)
+    """Check that the exact mean Laplacian is symmetric with s2 > 1e-8; the
+    report is computed once per model."""
+    if model._report is None:
+        Lbar = mean_laplacian(model)
+        defect = float(np.abs(Lbar - Lbar.T).max())
+        if defect < 1e-8:
+            s2 = float(np.linalg.eigvalsh(0.5 * (Lbar + Lbar.T))[1])
+        else:
+            s2 = float("nan")
+        passed = defect < 1e-8 and s2 > 1e-8
+        model._report = ValidationReport(symmetry_defect=defect, s2=s2, passed=passed)
+    return model._report
 
 
 # ---------------------------------------------------------------------------

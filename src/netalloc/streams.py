@@ -4,9 +4,17 @@ Each sample path owns one Philox key derived from its seed; every noise
 channel gets its own counter block within that key, so enabling or disabling
 one channel never disturbs the draws of another, and paths are independent
 work units regardless of execution order.
+
+STREAM_VERSION names how the channels are consumed, and manifests record
+it.  Version 1 drew the two channel noises all-pairs, as (n, n, m) arrays
+per step.  Version 2 draws one realization per active directed link of the
+step's graph, (E, m) per step, in the sample's edge order.  The graph,
+gradient and resource channels are consumed as in version 1.
 """
 
 import numpy as np
+
+STREAM_VERSION = 2
 
 # channel ids (the Philox counter's third word)
 GRAPH, GRADIENT, RESOURCE, CHANNEL_LAMBDA, CHANNEL_Z, INIT = range(6)

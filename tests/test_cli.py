@@ -101,6 +101,20 @@ def test_run_manifest_reproducibility_fields(tmp_path):
     assert doc["overrides"] == {"run.seed": 9}
 
 
+def test_manifest_records_stream_version_and_environment(tmp_path):
+    import platform
+
+    from netalloc.streams import STREAM_VERSION
+
+    cfg = write_config(tmp_path, base_config(reference="none", iterations=20))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    doc = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert doc["stream_version"] == STREAM_VERSION == 2
+    assert doc["numpy"] == np.__version__
+    assert doc["python"] == platform.python_version()
+    assert doc["cpu_count"] == os.cpu_count()
+
+
 def test_mc_thread_invariance_and_report_roundtrip(tmp_path):
     cfg = write_config(tmp_path, base_config(reference="none", iterations=200, paths=4))
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0

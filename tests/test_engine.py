@@ -310,6 +310,106 @@ def test_channel_independence():
     np.testing.assert_array_equal(d1.delta, d2.delta)
 
 
+def test_all_pairs_draw_equals_its_edge_gather():
+    """apply_step fed an all-pairs (n, n, m) draw equals, bit for bit, apply_step
+    fed the same draw gathered on the graph's edges, on edge-only and dense samples."""
+    from netalloc import mean_laplacian, random_instance, sample_graph
+
+    problem = random_instance(2, 6, 2, set_kind="box")
+    noise = NoiseConfig(gradient=GaussianNoise(1.0), resource=GaussianNoise(1.0),
+                        channel_lambda=GaussianNoise(1.2), channel_z=GaussianNoise(0.6))
+    ring = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
+    pool = GraphModel.erdos_renyi_pool(6, 5, 0.3, 0.7, seed=1)
+    rng = np.random.default_rng(3)
+    graphs = [sample_graph(model, rng) for model in
+              (GraphModel.gossip(6), GraphModel.broadcast(ring), pool) for _ in range(3)]
+    graphs.append(GraphSample.from_laplacian(mean_laplacian(pool)))
+    stream = PathStream(5)
+    state = NetworkState(X=problem.project_all(rng.standard_normal((6, 2))),
+                         Lam=rng.standard_normal((6, 2)), Z=rng.standard_normal((6, 2)))
+    for g in graphs:
+        full = draw_step_noise(noise, problem, state.X, stream)
+        assert full.zeta.shape == full.eps.shape == (6, 6, 2)
+        gathered = StepNoise(nu=full.nu, delta=full.delta, zeta=full.zeta[g.dst, g.src],
+                             eps=full.eps[g.dst, g.src])
+        a = apply_step(state, problem, g, full, 0.3)
+        b = apply_step(state, problem, g, gathered, 0.3)
+        for name in ("X", "Lam", "Z"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_edge_scatter_matches_dense_products():
+    """The edge path (one bincount for L @ Lam, L @ Z and the received noise)
+    agrees with the dense Laplacian product and the all-pairs einsum
+    sum_j a_ij zeta_ij to roundoff."""
+    from netalloc import laplacian, random_instance
+
+    problem = random_instance(4, 7, 2, set_kind="box")
+    noise = NoiseConfig(channel_lambda=GaussianNoise(1.0), channel_z=GaussianNoise(1.0))
+    rng = np.random.default_rng(9)
+    state = NetworkState(X=problem.project_all(rng.standard_normal((7, 2))),
+                         Lam=rng.standard_normal((7, 2)), Z=rng.standard_normal((7, 2)))
+    for seed, p in enumerate((0.3, 0.6, 1.0)):
+        A = np.triu(rng.random((7, 7)) < p, 1) * rng.uniform(0.5, 2.0, (7, 7))
+        A = A + A.T
+        edges = GraphSample.from_adjacency(A)
+        dense = GraphSample.from_adjacency(A, dense_laplacian=laplacian(A))
+        full = draw_step_noise(noise, problem, state.X, PathStream(seed))
+        a = apply_step(state, problem, edges, full, 0.2)
+        b = apply_step(state, problem, dense, full, 0.2)
+        for name in ("X", "Lam", "Z"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-13, atol=1e-13)
+        zrow = np.einsum("ij,ijm->im", A, full.zeta)
+        np.testing.assert_allclose(b.Z, state.Z + 0.2 * (laplacian(A) @ state.Lam - zrow),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_gossip_step_does_no_n_by_n_work():
+    """One gossip step at n = 2000 (graph draw, per-edge noise, update) peaks far
+    below one n x n array: all-pairs channel draws would take 96 MB each."""
+    import tracemalloc
+
+    from netalloc import random_instance, sample_graph
+
+    problem = random_instance(0, 2000, 3, set_kind="box")
+    model = GraphModel.gossip(2000)
+    noise = NoiseConfig(gradient=GaussianNoise(1.0), resource=GaussianNoise(1.0),
+                        channel_lambda=GaussianNoise(1.0), channel_z=GaussianNoise(1.0))
+    stream = PathStream(1)
+    graph_gen = stream.channel(0)
+
+    def step(state):
+        graph = sample_graph(model, graph_gen)
+        return apply_step(state, problem, graph,
+                          draw_step_noise(noise, problem, state.X, stream, graph), 0.5)
+
+    state = step(initial_state(problem))  # first use: imports, generator set-up
+    tracemalloc.start()
+    try:
+        step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"gossip step peaked at {peak} bytes"
+
+
+def test_run_path_validates_each_model_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    problem = tiny_problem(4, 2, kind="box", seed=21)
+    model = GraphModel.gossip(4)
+    schedule = StepSchedule.power(1.0, 0.6)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    run_path(problem, model, NoiseConfig.noiseless(), schedule, 20, seed=1)
+    run_path(problem, model, NoiseConfig.noiseless(), schedule, 20, seed=2)
+    assert calls == [(4, 4)]
+
+
 def test_trace_csv_roundtrip(tmp_path):
     from netalloc import read_csv, write_csv
 

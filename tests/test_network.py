@@ -68,6 +68,65 @@ def test_gossip_single_edge():
         assert np.linalg.matrix_rank(g.laplacian) == 1
 
 
+def test_edge_arrays_rebuild_dense_adjacency():
+    """Each kind's edge arrays give back the dense adjacency of the draw, replayed
+    from a twin generator; pool members also carry their own dense Laplacian."""
+    directed = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    star = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+
+    def pool_draw(model, twin):
+        return model.graphs[int(twin.integers(0, model.graphs.shape[0]))]
+
+    def gossip_draw(model, twin):
+        i = int(twin.integers(0, model.n))
+        j = int(twin.integers(0, model.n - 1))
+        j += j >= i
+        A = np.zeros((model.n, model.n))
+        A[i, j] = A[j, i] = 1.0
+        return A
+
+    def broadcast_draw(model, twin):
+        v = int(twin.integers(0, model.n))
+        A = np.zeros((model.n, model.n))
+        A[:, v] = model.base[v]
+        return A
+
+    cases = [
+        (GraphModel.fixed_pool([directed, directed.T, np.zeros((3, 3))]), pool_draw),
+        (GraphModel.erdos_renyi_pool(9, 12, 0.2, 0.6, seed=4), pool_draw),
+        (GraphModel.gossip(6), gossip_draw),
+        (GraphModel.broadcast(star), broadcast_draw),
+    ]
+    for model, draw in cases:
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(30):
+            g = sample_graph(model, rng)
+            A = draw(model, twin)
+            assert g.dst.shape == g.src.shape == g.w.shape == (np.count_nonzero(A),)
+            np.testing.assert_array_equal(g.adjacency, A)
+            np.testing.assert_array_equal(g.laplacian, laplacian(A))
+        assert (g.dense_laplacian is not None) == (model.kind in ("fixed_pool", "erdos_renyi_pool"))
+
+
+def test_mean_graph_edges_rebuild_its_adjacency():
+    from netalloc import GraphSample
+
+    L = mean_laplacian(GraphModel.erdos_renyi_pool(7, 10, 0.2, 0.6, seed=8))
+    g = GraphSample.from_laplacian(L)
+    np.testing.assert_array_equal(g.adjacency, np.diag(np.diag(L)) - L)
+    assert g.laplacian is L
+
+
+def test_mean_laplacian_is_cached_and_read_only():
+    model = GraphModel.gossip(5)
+    L = mean_laplacian(model)
+    assert mean_laplacian(model) is L
+    with pytest.raises(ValueError):
+        L[0, 0] = 1.0
+    assert validate_model(model) is validate_model(model)
+
+
 def test_sampled_laplacians_row_sums_and_diagonal():
     for model in (GraphModel.erdos_renyi_pool(8, 10, 0.2, 0.5, seed=0),
                   GraphModel.gossip(5),

@@ -49,6 +49,33 @@ def test_gaussian_channels_zero_mean_within_4se():
     assert abs(eps.mean()) < 4 * 0.6 / np.sqrt(eps.size)
 
 
+def test_per_edge_channel_draws_meet_criterion_7_bounds():
+    """Channel noise drawn on gossip, broadcast and ER-pool samples, one row per
+    edge: mean within 4 standard errors, second moment within 10 %."""
+    from netalloc import sample_graph
+
+    problem = random_instance(0, 6, 3, set_kind="box")
+    ring = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
+    noise = full_noise()
+    X = problem.project_all(np.zeros((problem.n, problem.m)))
+    for seed, model in enumerate((GraphModel.gossip(6), GraphModel.broadcast(ring),
+                                  GraphModel.erdos_renyi_pool(6, 10, 0.3, 0.7, seed=4)), 1):
+        stream = PathStream(seed)
+        graph_gen = stream.channel(0)
+        acc, size = {"zeta": [], "eps": []}, 0
+        while size < N_SAMPLES:
+            g = sample_graph(model, graph_gen)
+            d = draw_step_noise(noise, problem, X, stream, g)
+            assert d.zeta.shape == d.eps.shape == (g.dst.size, problem.m)
+            acc["zeta"].append(d.zeta.ravel())
+            acc["eps"].append(d.eps.ravel())
+            size += d.zeta.size
+        for name, sigma in (("zeta", 1.2), ("eps", 0.6)):
+            samples = np.concatenate(acc[name])
+            assert abs(samples.mean()) < 4 * sigma / np.sqrt(samples.size), (model.kind, name)
+            assert abs((samples**2).mean() - sigma**2) < 0.1 * sigma**2, (model.kind, name)
+
+
 def test_second_moments_within_10_percent():
     problem = random_instance(0, 2, 2, set_kind="box")
     steps = N_SAMPLES // (problem.n * problem.m)
