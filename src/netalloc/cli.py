@@ -249,12 +249,15 @@ def cmd_mc(args):
     write_json(os.path.join(out, "finals.json"), {
         "finals": [{"path": p, "final": final} for p, final in result.finals],
         "diverged": [{"path": p, "iteration": it} for p, it in result.diverged],
+        "failed": [{"path": p, "iteration": it, "kind": kind, "message": msg}
+                   for p, it, kind, msg in result.failed],
         "path_seeds": result.path_seeds,
     })
     if result.mean_trace is not None:
         write_csv(result.mean_trace, os.path.join(out, "trace_mean.csv"))
     write_json(os.path.join(out, "summary.json"), result.summary())
-    print(f"mc complete: {result.paths} paths ({len(result.diverged)} diverged) -> {out}")
+    print(f"mc complete: {result.paths} paths ({len(result.diverged)} diverged, "
+          f"{len(result.failed)} failed) -> {out}")
     return 0
 
 
@@ -299,7 +302,9 @@ def cmd_report(args):
         with open(os.path.join(out, "finals.json")) as fh:
             finals_doc = json.load(fh)
         finals, diverged = finals_doc["finals"], len(finals_doc["diverged"])
-        summary = summarize_finals([r["final"] for r in finals], len(finals) + diverged, diverged)
+        failed = len(finals_doc.get("failed", []))  # absent from directories written before failures were listed
+        summary = summarize_finals([r["final"] for r in finals], len(finals) + diverged + failed,
+                                   diverged, failed)
         write_json(os.path.join(out, "summary.json"), summary)
         print(f"report regenerated from {len(traces)} stored paths -> {out}")
         return 0

@@ -7,21 +7,30 @@ step.  The multiplier received from a neighbor carries one shared noise
 realization per (receiver, sender, step), drawn only for the links of the
 step's graph: the same draw enters both the multiplier and the auxiliary
 update lines.
+
+Paths step as a batch: the states of a worker's P paths are one (P, n, m)
+stack, and every operation acts row by row or path by path, so each path's
+values come out bit for bit as when it runs alone.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError
-from .network import GraphModel, GraphSample, mean_laplacian, sample_graph, validate_model
+from .errors import DivergenceError, NetallocError, ProjectionError
+# sample_graph is kept importable here, where perfbench/tracer.py wraps it
+from .network import (GraphModel, GraphSample, max_edges, mean_laplacian, sample_graph,  # noqa: F401
+                      sample_graphs, validate_model)
 from .problem import ProblemSpec
 from .streams import CHANNEL_LAMBDA, CHANNEL_Z, GRADIENT, GRAPH, RESOURCE, PathStream, path_seed
 from .trace import METRICS, Trace, build_trace, mean_trace
 
 DIVERGENCE_GUARD = 1e12
+# a batch draws a block of K steps ahead, K as large as keeps one block's
+# draws within this many bytes (see `block_steps`)
+BLOCK_BYTES = 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +53,20 @@ class NetworkState:
 
     def copy(self):
         return NetworkState(self.X.copy(), self.Lam.copy(), self.Z.copy(), self.k)
+
+    def path(self, i):
+        """Path i of a (P, n, m) stack of paths' states."""
+        return NetworkState(self.X[i], self.Lam[i], self.Z[i], self.k)
+
+    def take(self, paths):
+        """The stack of the listed paths."""
+        return NetworkState(self.X[paths], self.Lam[paths], self.Z[paths], self.k)
+
+    @classmethod
+    def stack(cls, state, paths):
+        """`paths` copies of one state as a (P, n, m) stack."""
+        return cls(*(np.repeat(a[None], paths, axis=0) for a in (state.X, state.Lam, state.Z)),
+                   k=state.k)
 
 
 def initial_state(problem: ProblemSpec) -> NetworkState:
@@ -236,7 +259,142 @@ def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStr
 
 
 # ---------------------------------------------------------------------------
+# block draws
+
+
+def block_steps(problem: ProblemSpec, model: GraphModel, paths: int) -> int:
+    """Steps K per block for a batch of `paths` paths: as many as fit
+    BLOCK_BYTES.  A path-step is counted at its largest: the sampled
+    quadratic's psi and theta and the resource noise, each drawn and then
+    scaled into a copy; the received sums of both channel noises; and, on
+    the most edges one graph draw can have, both channel draws, their
+    bincount weights and bin indices."""
+    n, m = problem.n, problem.m
+    doubles = 2 * (n * m * (m + 1) + n * m) + 2 * n * m + 6 * m * max_edges(model)
+    return max(1, BLOCK_BYTES // (8 * doubles * paths))
+
+
+class PathDraws:
+    """The step inputs of a batch of sample paths, drawn a block ahead.
+
+    Each path keeps its own PathStream.  Once per block of K steps each
+    channel of each path is drawn in one call: the graphs first, then the
+    noise on the block's edges, in the order and amount K single-step draws
+    (`sample_graph`, `draw_step_noise`) would take.  The block's received
+    channel noise is one np.bincount over (step, path, receiver); bincount
+    adds in input order, so every sum is the per-step scatter's.  Calling
+    the object returns the next step's StepInputs for all P paths.
+    """
+
+    def __init__(self, problem, model, noise, seeds, iterations):
+        self.problem, self.model, self.noise = problem, model, noise
+        self.streams = [PathStream(seed) for seed in seeds]
+        self.left = iterations
+        self.K = block_steps(problem, model, len(seeds))
+        self.j = self.size = 0
+
+    def __call__(self, state=None):
+        if self.j == self.size:
+            self._draw(min(self.K, self.left))
+        j, self.j = self.j, self.j + 1
+        lap = self.laps[self.ids[:, j]] if self.model.pooled else tuple(
+            a[self.bounds[j]:self.bounds[j + 1]] for a in self.edges)
+        return StepInputs(lap, *(a if a is None or isinstance(a, float) else a[:, j] for a in (
+            self.nu, self.psi, self.theta, self.delta, self.zrow, self.erow)))
+
+    def _draw(self, K):
+        """Draw the next K steps; arrays are (P, K, ...), path by path."""
+        self.left -= K
+        self.j, self.size = 0, K
+        n, m, P, noise, streams = self.problem.n, self.problem.m, len(self.streams), self.noise, self.streams
+        graphs = [sample_graphs(self.model, s.channel(GRAPH), K) for s in streams]
+
+        def normals(channel, shape, sigma):
+            out = np.empty((P, K) + shape)
+            for s, o in zip(streams, out):
+                s.channel(channel).standard_normal((K,) + shape, out=o)
+            out *= sigma
+            return out
+
+        g = noise.gradient
+        self.nu = self.psi = self.theta = self.delta = None
+        if isinstance(g, GaussianNoise):
+            self.nu = normals(GRADIENT, (n, m), g.sigma)
+        elif isinstance(g, SampledQuadraticNoise):
+            # per step: psi (n, m, m), then theta (n, m)
+            both = normals(GRADIENT, (n * m * m + n * m,), 1.0)
+            self.psi = g.sigma_psi * both[..., :n * m * m].reshape(P, K, n, m, m)
+            self.theta = g.sigma_theta * both[..., n * m * m:].reshape(P, K, n, m)
+        if noise.resource is not None:
+            self.delta = normals(RESOURCE, (n, m), noise.resource.sigma)
+
+        steps = [np.repeat(np.arange(K), np.diff(gr.start)) for gr in graphs]
+        self.zrow = self.erow = 0.0
+        channels = [(c, ch) for c, ch in ((CHANNEL_LAMBDA, noise.channel_lambda),
+                                           (CHANNEL_Z, noise.channel_z)) if ch is not None]
+        if channels:
+            cm = len(channels) * m
+            idx = [((((p * K + k) * n + gr.dst)[:, None] * cm) + np.arange(cm)).ravel()
+                   for p, (k, gr) in enumerate(zip(steps, graphs))]
+            vals = [(np.concatenate([ch.sigma * s.channel(c).standard_normal((gr.dst.size, m))
+                                     for c, ch in channels], axis=1) * gr.w[:, None]).ravel()
+                    for s, gr in zip(streams, graphs)]
+            out = np.bincount(np.concatenate(idx), np.concatenate(vals), minlength=P * K * n * cm)
+            sums = iter(np.moveaxis(out.reshape(P, K, n, len(channels), m), 3, 0))
+            self.zrow = next(sums) if noise.channel_lambda is not None else 0.0
+            self.erow = next(sums) if noise.channel_z is not None else 0.0
+
+        if self.model.pooled:
+            self.laps = self.model.laplacians
+            self.ids = np.stack([gr.ids for gr in graphs])
+        else:
+            # the batch's edges step by step, each step's path by path
+            step = np.concatenate(steps)
+            order = np.argsort(step, kind="stable")
+            self.bounds = np.searchsorted(step[order], np.arange(K + 1))
+            path = np.concatenate([np.full(gr.dst.size, p) for p, gr in enumerate(graphs)])
+            self.edges = tuple(a[order] for a in (
+                path, *(np.concatenate([getattr(gr, f) for gr in graphs]) for f in ("dst", "src", "w"))))
+
+
+# ---------------------------------------------------------------------------
 # the recursion
+
+
+@dataclass
+class StepInputs:
+    """One step's graph and noise for a batch of P paths.
+
+    `lap` is the Laplacian: a dense (n, n) matrix the batch shares, a
+    (P, n, n) stack, or the batch's edges (path, dst, src, w), where path p's
+    node i is row i of its (n, m) block.  The noise is stacked (P, n, m), None
+    for a disabled channel: the gradient noise `nu`, or the sampled
+    quadratic's `psi` (P, n, m, m) and `theta` giving nu = 2 psi x + theta;
+    the resource noise `delta`; the received channel noises `zrow` and
+    `erow`, 0.0 when disabled.
+    """
+
+    lap: object
+    nu: Optional[np.ndarray] = None
+    psi: Optional[np.ndarray] = None
+    theta: Optional[np.ndarray] = None
+    delta: Optional[np.ndarray] = None
+    zrow: object = 0.0
+    erow: object = 0.0
+
+    def take(self, paths):
+        """The inputs of the listed batch positions (ascending)."""
+        def sub(a):
+            return a[paths] if isinstance(a, np.ndarray) else a
+
+        lap = self.lap
+        if isinstance(lap, tuple):
+            keep = np.isin(lap[0], paths)
+            lap = (np.searchsorted(paths, lap[0][keep]),) + tuple(a[keep] for a in lap[1:])
+        elif lap.ndim == 3:
+            lap = lap[paths]
+        return StepInputs(lap, *(sub(a) for a in (self.nu, self.psi, self.theta, self.delta,
+                                                   self.zrow, self.erow)))
 
 
 def edge_noise(graph: GraphSample, draws: StepNoise):
@@ -252,34 +410,51 @@ def received_noise(graph: GraphSample, draws: StepNoise):
     return graph.scatter(*edge_noise(graph, draws))
 
 
-def apply_step(
-    state: NetworkState, problem: ProblemSpec, graph: GraphSample, draws: StepNoise, alpha: float
-) -> NetworkState:
-    """One synchronous round from the time-k state with given noise draws."""
+def step_batch(state: NetworkState, problem: ProblemSpec, inputs: StepInputs,
+               alpha: float) -> NetworkState:
+    """One synchronous round of a (P, n, m) stack of paths from the time-k
+    state.  Every operation acts row by row or path by path, so each path
+    gets the bits it gets alone."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     X, Lam, Z = state.X, state.Lam, state.Z
 
     gradX = problem.grad_all(X)
-    if draws.nu is not None:
-        gradX = gradX + draws.nu
-    Xn = problem.project_all(X + alpha * (Lam - gradX))
+    if inputs.psi is not None:
+        gradX = gradX + (2.0 * np.einsum("...nij,...nj->...ni", inputs.psi, X) + inputs.theta)
+    elif inputs.nu is not None:
+        gradX = gradX + inputs.nu
+    Xn = problem.project_paths(X + alpha * (Lam - gradX))
 
     res = problem.D - X
-    if draws.delta is not None:
-        res = res + draws.delta
-    L = graph.dense_laplacian
-    if L is None:
-        # L @ V sums w * (V[dst] - V[src]) onto dst, in the noise's scatter
-        zrow, erow, LLam, LZ = graph.scatter(*edge_noise(graph, draws),
-                                             Lam[graph.dst] - Lam[graph.src],
-                                             Z[graph.dst] - Z[graph.src])
+    if inputs.delta is not None:
+        res = res + inputs.delta
+    if isinstance(inputs.lap, tuple):
+        # L @ V sums w * (V[dst] - V[src]) onto dst, path p's nodes offset by p * n
+        path, dst, src, w = inputs.lap
+        P, n, m = X.shape
+        dst, src = path * n + dst, path * n + src
+        Lf, Zf = Lam.reshape(-1, m), Z.reshape(-1, m)
+        LLam, LZ = (v.reshape(X.shape) for v in GraphSample(P * n, dst, src, w).scatter(
+            Lf[dst] - Lf[src], Zf[dst] - Zf[src]))
     else:
-        zrow, erow = received_noise(graph, draws)
-        LLam, LZ = L @ Lam, L @ Z
-    Ln = Lam + alpha * (res - LLam - LZ + zrow + erow)
-    Zn = Z + alpha * (LLam - zrow)
+        LLam, LZ = inputs.lap @ Lam, inputs.lap @ Z
+    Ln = Lam + alpha * (res - LLam - LZ + inputs.zrow + inputs.erow)
+    Zn = Z + alpha * (LLam - inputs.zrow)
     return NetworkState(X=Xn, Lam=Ln, Z=Zn, k=state.k + 1)
+
+
+def apply_step(
+    state: NetworkState, problem: ProblemSpec, graph: GraphSample, draws: StepNoise, alpha: float
+) -> NetworkState:
+    """One synchronous round from the time-k state with given noise draws:
+    `step_batch` on a batch of one."""
+    lap = graph.dense_laplacian
+    if lap is None:
+        lap = (np.zeros(graph.dst.size, dtype=int), graph.dst, graph.src, graph.w)
+    zrow, erow = received_noise(graph, draws)
+    inputs = StepInputs(lap, nu=draws.nu, delta=draws.delta, zrow=zrow, erow=erow)
+    return step_batch(NetworkState.stack(state, 1), problem, inputs, alpha).path(0)
 
 
 def sa_step(
@@ -347,44 +522,111 @@ def state_metrics(state, problem, mean_L, reference=None) -> dict:
     }
 
 
-def check_divergence(state, iteration):
-    """Raise DivergenceError when the state norm is not finite or passes
-    DIVERGENCE_GUARD."""
-    norm = state.norm()
-    if not np.isfinite(norm) or norm > DIVERGENCE_GUARD:
-        raise DivergenceError(iteration=iteration, norm=norm)
+@dataclass
+class PathRun:
+    """One path's part of an `iterate` call: its records, and either its
+    final state or the error that ended it at `iteration`."""
+
+    rows: list = field(default_factory=list)
+    watched: list = field(default_factory=list)
+    final: Optional[NetworkState] = None
+    error: Optional[NetallocError] = None
+    iteration: Optional[int] = None
+
+    def end(self, error, iteration):
+        self.error, self.iteration = error, iteration
 
 
 def iterate(state, problem, schedule, iterations, inputs, mean_L, reference=None, cadence=10,
             watch=None):
-    """The step loop of every sample path and of the flow.
+    """The step loop of every sample path and of the flow, over a batch.
 
-    Step k = 0, ..., iterations-1 (k counts the steps taken in this call)
-    records the state before the step when k % cadence == 0, then applies
-    `apply_step` with step size step_size(schedule, k) and the (graph, draws)
-    pair `inputs(state)` returns, then checks the new state for divergence.
-    A record is a row of k, alpha and the METRICS, where k is the state's
-    own counter `state.k` (equal to the steps taken for a start with k = 0),
-    plus the allocation components listed by `watch` as (agent, component)
-    pairs.  Returns (final state, rows, watched rows).  Raises
-    DivergenceError, carrying the diverged state's counter, when the state
-    norm passes DIVERGENCE_GUARD or is not finite.
+    `state` stacks P paths' states, (P, n, m) each, at one counter.  Step
+    k = 0, ..., iterations-1 (k counts the steps taken in this call) records
+    each live path's state before the step when k % cadence == 0, then
+    applies `step_batch` with step size step_size(schedule, k) and the
+    StepInputs that `inputs(state)` returns for all P paths, of which the
+    live paths' share is taken.  A record is a row of k, alpha and the
+    METRICS, where k is the state's own counter `state.k`, plus the
+    allocation components listed by `watch` as (agent, component) pairs.
+
+    A path ends when its new state's norm passes DIVERGENCE_GUARD or is not
+    finite (a DivergenceError at the new counter) or when its rows fail the
+    projection certificate (the ProjectionError it raises alone, at the
+    counter it did not reach); the others step on, bit for bit as alone.
+    Returns one PathRun per path.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
-    rows, watched = [], []
+    P = len(state.X)
+    runs = [PathRun() for _ in range(P)]
+    live = np.arange(P)
     for k in range(iterations):
         alpha = step_size(schedule, k)
         if k % cadence == 0:
-            rows.append({"k": state.k, "alpha": alpha,
-                         **state_metrics(state, problem, mean_L, reference)})
-            if watch:
-                watched.append([state.X[i, j] for i, j in watch])
-        state = apply_step(state, problem, *inputs(state), alpha)
-        check_divergence(state, state.k)
-    return state, rows, watched
+            for j, p in enumerate(live):
+                path = state.path(j)
+                runs[p].rows.append({"k": state.k, "alpha": alpha,
+                                     **state_metrics(path, problem, mean_L, reference)})
+                if watch:
+                    runs[p].watched.append([path.X[i, c] for i, c in watch])
+        step = inputs(state)
+        if live.size < P:
+            step = step.take(live)
+        try:
+            nxt = step_batch(state, problem, step, alpha)
+        except ProjectionError as exc:
+            bad = np.unique(exc.rows // problem.n)
+            for j in bad:
+                if live.size > 1:
+                    # the path's own error, as it raises alone
+                    try:
+                        step_batch(state.take([j]), problem, step.take([j]), alpha)
+                    except ProjectionError as own:
+                        exc = own
+                runs[live[j]].end(exc, state.k + 1)
+            keep = np.setdiff1d(np.arange(live.size), bad)
+            live, state, step = live[keep], state.take(keep), step.take(keep)
+            if not live.size:
+                return runs
+            nxt = step_batch(state, problem, step, alpha)
+        norms = np.sqrt(np.add.reduce(nxt.X * nxt.X, axis=(1, 2))
+                        + np.add.reduce(nxt.Lam * nxt.Lam, axis=(1, 2))
+                        + np.add.reduce(nxt.Z * nxt.Z, axis=(1, 2)))
+        state = nxt
+        if not norms.max() <= DIVERGENCE_GUARD:  # a NaN norm fails the test too
+            bad = np.flatnonzero(~(norms <= DIVERGENCE_GUARD))
+            for j in bad:
+                runs[live[j]].end(DivergenceError(iteration=state.k, norm=float(norms[j])), state.k)
+            keep = np.setdiff1d(np.arange(live.size), bad)
+            live, state = live[keep], state.take(keep)
+            if not live.size:
+                return runs
+    for j, p in enumerate(live):
+        runs[p].final = state.path(j)
+    return runs
+
+
+def run_paths(problem, model, noise, schedule, iterations, seeds, reference=None, cadence=10,
+              initial=None, watch=None) -> list:
+    """Sample paths with the given seeds, stepped as one batch: per path its
+    RunResult, or the PathRun that ended early.  See `run_path`."""
+    report = validate_model(model)
+    if not report.passed:
+        raise ValueError(f"graph model failed validation: {report}")
+    mean_L = mean_laplacian(model)
+    state = NetworkState.stack(initial if initial is not None else initial_state(problem), len(seeds))
+    runs = iterate(state, problem, schedule, iterations,
+                   PathDraws(problem, model, noise, seeds, iterations), mean_L, reference, cadence,
+                   watch)
+    return [run if run.error is not None else RunResult(
+        trace=build_trace(run.rows),
+        final_state=run.final,
+        final_metrics=state_metrics(run.final, problem, mean_L, reference),
+        watched=np.array(run.watched) if watch else None,
+    ) for run in runs]
 
 
 def run_path(
@@ -399,35 +641,20 @@ def run_path(
     initial: Optional[NetworkState] = None,
     watch=None,
 ) -> RunResult:
-    """One sample path of `iterate`; deterministic for a fixed seed.
+    """One sample path of `iterate`, a batch of one; deterministic for a fixed seed.
 
     Each step draws its graph from `model` and its noise from the path's
     streams, the channel noise on that graph's edges.  The trace holds
     ceil(iterations/cadence) records, the states before steps 0, cadence,
     2*cadence, ...; final-state metrics are returned separately.  `watch` lists (agent, component) pairs whose
-    allocation values are recorded on the same grid.
+    allocation values are recorded on the same grid.  Raises the
+    DivergenceError or ProjectionError that ends the path.
     """
-    report = validate_model(model)
-    if not report.passed:
-        raise ValueError(f"graph model failed validation: {report}")
-    mean_L = mean_laplacian(model)
-    stream = PathStream(seed)
-    graph_gen = stream.channel(GRAPH)
-
-    def inputs(s):
-        graph = sample_graph(model, graph_gen)
-        return graph, draw_step_noise(noise, problem, s.X, stream, graph)
-
-    state, rows, watched = iterate(
-        initial if initial is not None else initial_state(problem), problem, schedule,
-        iterations, inputs, mean_L, reference, cadence, watch,
-    )
-    return RunResult(
-        trace=build_trace(rows),
-        final_state=state,
-        final_metrics=state_metrics(state, problem, mean_L, reference),
-        watched=np.array(watched) if watch else None,
-    )
+    res = run_paths(problem, model, noise, schedule, iterations, [seed], reference, cadence,
+                    initial, watch)[0]
+    if isinstance(res, PathRun):
+        raise res.error
+    return res
 
 
 @dataclass
@@ -439,15 +666,17 @@ class MonteCarloResult:
     path_seeds: list
     traces: list          # per completed path: (path, trace)
     watched_mean: Optional[np.ndarray] = None
+    failed: list = field(default_factory=list)  # (path, iteration, kind, message) of other errors
 
     def summary(self):
-        return summarize_finals([f for _, f in self.finals], self.paths, len(self.diverged))
+        return summarize_finals([f for _, f in self.finals], self.paths, len(self.diverged),
+                                len(self.failed))
 
 
-def summarize_finals(finals, paths, diverged) -> dict:
+def summarize_finals(finals, paths, diverged, failed) -> dict:
     """Mean, median and 90th percentile of each final metric over the
     completed paths' final-metric dicts."""
-    out = {"paths": paths, "diverged": diverged, "final": {}}
+    out = {"paths": paths, "diverged": diverged, "failed": failed, "final": {}}
     for name in METRICS:
         vals = [f[name] for f in finals if f.get(name) is not None]
         if vals:
@@ -461,11 +690,9 @@ def summarize_finals(finals, paths, diverged) -> dict:
 
 
 def _mc_worker(args):
-    """One path's RunResult, or the iteration at which it diverged."""
-    try:
-        return run_path(*args)
-    except DivergenceError as exc:
-        return exc.iteration
+    """One block of paths: per path its RunResult, or (iteration, error)."""
+    return [res if isinstance(res, RunResult) else (res.iteration, res.error)
+            for res in run_paths(*args)]
 
 
 def monte_carlo(
@@ -483,34 +710,40 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Average independent sample paths.
 
-    Path p runs with seed path_seed(master_seed, p); the averaged trace is
-    the arithmetic mean of the per-path metric curves, so the result is
-    independent of execution order and of the `threads` knob.  Diverged
-    paths are excluded from averages and counted.
+    Path p runs with seed path_seed(master_seed, p).  The paths are split
+    into min(threads, paths) contiguous blocks, each stepped as one batch in
+    its own worker process (in this process for one block); a path's values
+    do not depend on its block, and the averaged trace is the arithmetic
+    mean of the per-path metric curves, so the result is independent of
+    execution order and of the `threads` knob.  Diverged paths, and paths
+    whose projection failed, are excluded from averages and listed.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
     seeds = [path_seed(master_seed, p) for p in range(paths)]
-    # run_path's positional arguments; None is the default initial state
-    jobs = [(problem, model, noise, schedule, iterations, seed, reference, cadence, None, watch)
-            for seed in seeds]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_mc_worker, jobs))
+    # run_paths' positional arguments; None is the default initial state
+    jobs = [(problem, model, noise, schedule, iterations, [seeds[p] for p in block], reference,
+             cadence, None, watch) for block in np.array_split(np.arange(paths), min(threads, paths))]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            results = [res for block in pool.map(_mc_worker, jobs) for res in block]
     else:
-        results = [_mc_worker(j) for j in jobs]
+        results = _mc_worker(jobs[0])
 
-    traces, finals, diverged, watched = [], [], [], []
+    traces, finals, diverged, failed, watched = [], [], [], [], []
     for p, res in enumerate(results):
         if isinstance(res, RunResult):
             traces.append((p, res.trace))
             finals.append((p, res.final_metrics))
             if res.watched is not None:
                 watched.append(res.watched)
+        elif isinstance(res[1], DivergenceError):
+            diverged.append((p, res[0]))
         else:
-            diverged.append((p, res))
+            failed.append((p, res[0], type(res[1]).__name__, str(res[1])))
     return MonteCarloResult(
         paths=paths, mean_trace=mean_trace([t for _, t in traces]) if traces else None,
         finals=finals, diverged=diverged, path_seeds=seeds, traces=traces,
         watched_mean=np.mean(np.stack(watched, axis=0), axis=0) if watched else None,
+        failed=failed,
     )

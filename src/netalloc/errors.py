@@ -6,12 +6,18 @@ class NetallocError(Exception):
 
 
 class ProjectionError(NetallocError):
-    """Polyhedral projection failed its membership certificate (or Dykstra its sweep cap)."""
+    """Polyhedral projection failed its membership certificate (or Dykstra its sweep cap).
 
-    def __init__(self, message, membership_violation=None, sweep_change=None):
+    `rows` lists the failing rows of the projected stack as flat indices into
+    its rows (row i of path p of a (P, n, m) stack is p * n + i), so a batch
+    of paths can tell whose row failed.
+    """
+
+    def __init__(self, message, membership_violation=None, sweep_change=None, rows=None):
         super().__init__(message)
         self.membership_violation = membership_violation
         self.sweep_change = sweep_change
+        self.rows = rows
 
 
 class ConvergenceError(NetallocError):

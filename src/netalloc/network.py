@@ -103,9 +103,10 @@ class GraphModel:
     broadcast:        a single uniformly random node wakes and is heard by
                       its neighbors in a base graph.
 
-    The pool members' edge samples, the exact mean Laplacian and the
-    validation report are computed once, on first use, and kept in the
-    model: a model is not to be changed after it has been used.
+    The pool members' edge samples, the edge table `sample_graphs` gathers
+    from, the exact mean Laplacian and the validation report are computed
+    once, on first use, and kept in the model: a model is not to be changed
+    after it has been used.
     """
 
     kind: str
@@ -117,9 +118,15 @@ class GraphModel:
     p_hi: Optional[float] = None
     pool_size: Optional[int] = None
     _pool: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _members: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _mean_L: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
     _report: Optional["ValidationReport"] = field(default=None, init=False, compare=False,
                                                   repr=False)
+
+    @property
+    def pooled(self):
+        """True for the pool kinds, whose members carry dense Laplacians."""
+        return self.kind in ("fixed_pool", "erdos_renyi_pool")
 
     @classmethod
     def fixed_pool(cls, graphs):
@@ -173,7 +180,7 @@ def sample_graph(model: GraphModel, rng) -> GraphSample:
     increasing order hear v.
     """
     n = model.n
-    if model.kind in ("fixed_pool", "erdos_renyi_pool"):
+    if model.pooled:
         if model._pool is None:
             model._pool = [GraphSample.from_adjacency(A, dense_laplacian=L)
                            for A, L in zip(model.graphs, model.laplacians)]
@@ -191,6 +198,61 @@ def sample_graph(model: GraphModel, rng) -> GraphSample:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
+@dataclass
+class GraphDraws:
+    """Consecutive graph draws of one path: step k's edges are
+    dst/src/w[start[k]:start[k + 1]] in `sample_graph`'s edge order, and
+    ids[k] is the pool member (or broadcasting node) drawn, None for gossip."""
+
+    ids: Optional[np.ndarray]
+    start: np.ndarray
+    dst: np.ndarray
+    src: np.ndarray
+    w: np.ndarray
+
+
+def _member_edges(model: GraphModel):
+    """(start, dst, src, w): the edges of every pool member, or of every
+    node's broadcast, one after another; member g's are [start[g], start[g + 1])."""
+    if model._members is None:
+        if model.pooled:
+            g, dst, src = np.nonzero(model.graphs)
+            w = model.graphs[g, dst, src]
+        else:  # node g broadcasts: its neighbors hear it
+            g, dst = np.nonzero(model.base)
+            src, w = g, model.base[g, dst]
+        start = np.searchsorted(g, np.arange(len(model.graphs) if model.pooled else model.n) + 1)
+        model._members = (np.r_[0, start], dst, src, w)
+    return model._members
+
+
+def max_edges(model: GraphModel) -> int:
+    """The most directed edges one draw of the model can have."""
+    if model.kind == "gossip":
+        return 2
+    return int(np.diff(_member_edges(model)[0]).max(initial=0))
+
+
+def sample_graphs(model: GraphModel, rng, steps) -> GraphDraws:
+    """`steps` consecutive draws of `sample_graph(model, rng)` in one call:
+    the same graphs, in the same edge order, from the same consumption of
+    `rng` (one integer per step, two for gossip)."""
+    n = model.n
+    if model.kind == "gossip":
+        i, j = rng.integers(0, np.tile([n, n - 1], steps)).reshape(steps, 2).T
+        j = j + (j >= i)
+        return GraphDraws(None, np.arange(0, 2 * steps + 1, 2), np.stack([i, j], axis=1).ravel(),
+                          np.stack([j, i], axis=1).ravel(), np.ones(2 * steps))
+    if not (model.pooled or model.kind == "broadcast"):
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    start, dst, src, w = _member_edges(model)
+    ids = rng.integers(0, len(start) - 1, size=steps)
+    counts = start[ids + 1] - start[ids]
+    begin = np.concatenate(([0], np.cumsum(counts)))
+    take = np.repeat(start[ids] - begin[:-1], counts) + np.arange(begin[-1])
+    return GraphDraws(ids, begin, dst[take], src[take], w[take])
+
+
 def mean_laplacian(model: GraphModel) -> np.ndarray:
     """Exact expectation of the per-step Laplacian, computed once per model
     and returned read-only."""
@@ -202,7 +264,7 @@ def mean_laplacian(model: GraphModel) -> np.ndarray:
 
 def _mean_laplacian(model: GraphModel) -> np.ndarray:
     n = model.n
-    if model.kind in ("fixed_pool", "erdos_renyi_pool"):
+    if model.pooled:
         return model.laplacians.mean(axis=0)
     if model.kind == "gossip":
         # each of the n(n-1)/2 edges appears with equal probability
@@ -277,7 +339,7 @@ def validate_model(model: GraphModel) -> ValidationReport:
 
 def model_to_json(model: GraphModel) -> dict:
     doc = {"n": model.n, "kind": model.kind}
-    if model.kind in ("fixed_pool", "erdos_renyi_pool"):
+    if model.pooled:
         doc["graphs"] = [g.ravel().tolist() for g in model.graphs]
         doc["pool_size"] = model.pool_size
         if model.kind == "erdos_renyi_pool":

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import NetworkState, StepNoise, StepSchedule, apply_step, iterate, state_metrics
+from .engine import (NetworkState, StepInputs, StepNoise, StepSchedule, apply_step, iterate,
+                     state_metrics)
 from .errors import InconsistencyError
 from .network import GraphSample
 from .problem import ProblemSpec
@@ -91,16 +92,19 @@ def flow(
 
     if reference is None and equilibrium is not None:
         reference = equilibrium.X
-    step_inputs = (GraphSample.from_laplacian(mean_L), StepNoise())
+    step_inputs = StepInputs(mean_L)
     lya = []
 
-    def inputs(state):
+    def inputs(batch):
         if equilibrium is not None:
-            lya.append(lyapunov(state, equilibrium))
+            lya.append(lyapunov(batch.path(0), equilibrium))
         return step_inputs
 
-    state, rows, _ = iterate(state0, problem, StepSchedule.constant(h), steps, inputs, mean_L,
-                             reference, cadence)
+    run = iterate(NetworkState.stack(state0, 1), problem, StepSchedule.constant(h), steps, inputs,
+                  mean_L, reference, cadence)[0]
+    if run.error is not None:
+        raise run.error
+    state, rows = run.final, run.rows
     rows.append({"k": state.k, "alpha": h, **state_metrics(state, problem, mean_L, reference)})
     trace = build_trace(rows)
     if equilibrium is None:

@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import GenerationError, ProjectionError
 from .projection import (
     check_table,
     face_table,
@@ -226,6 +226,13 @@ def stationarity_residual(agent: AgentSpec, x, lam) -> float:
     return float(np.linalg.norm(x - project(agent.local_set, step)))
 
 
+def _rows(idx):
+    """A basic slice for an increasing index array without gaps, else the array."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class ProblemSpec:
     """The coupled allocation problem over n agents in dimension m.
 
@@ -271,17 +278,24 @@ class ProblemSpec:
             R = np.array([self.agents[i].local_set.R for i in idxs])
             l = np.array([self.agents[i].local_set.l for i in idxs])
             self._poly_groups.append((np.array(idxs), R, l, face_table(R)))
+        # the same agent sets as basic slices where contiguous, so a (P, n, m)
+        # stack is read through views and written without fancy indexing
+        self._box_rows = _rows(self._box_idx)
+        self._poly_rows = [_rows(group[0]) for group in self._poly_groups]
 
     # -- batched operations used by the engines --
 
     def grad_all(self, X):
-        """Stacked gradients, one row per agent."""
-        G = np.empty_like(X)
+        """Stacked gradients, one row per agent; X is (n, m) or a (P, n, m) stack of paths."""
+        if not self._custom_idx:
+            return np.einsum("nij,...nj->...ni", self._Q2, X) + self._qc
+        G = np.empty(X.shape)
         if self._quad_idx.size:
-            sub = X.take(self._quad_idx, axis=0)
-            G[self._quad_idx] = np.einsum("nij,nj->ni", self._Q2, sub) + self._qc
+            sub = X.take(self._quad_idx, axis=-2)
+            G[..., self._quad_idx, :] = np.einsum("nij,...nj->...ni", self._Q2, sub) + self._qc
         for i in self._custom_idx:
-            G[i] = grad(self.agents[i].objective, X[i])
+            for x, g in zip(X.reshape(-1, self.n, self.m), G.reshape(-1, self.n, self.m)):
+                g[i] = grad(self.agents[i].objective, x[i])
         return G
 
     def objective_value(self, X):
@@ -300,11 +314,22 @@ class ProblemSpec:
 
     def project_all(self, Y):
         """Project every row of Y onto its agent's set."""
+        return self.project_paths(Y[None])[0]
+
+    def project_paths(self, Y):
+        """`project_all` for a (P, n, m) stack of paths: each path's rows come out
+        bit for bit as when projected alone.  A ProjectionError lists its
+        failing rows as p * n + i for agent i of path p."""
         X = Y.copy()
         if self._box_idx.size:
-            X[self._box_idx] = np.clip(Y.take(self._box_idx, axis=0), self._lo, self._hi)
-        for idxs, R, l, table in self._poly_groups:
-            X[idxs] = project_polyhedron_batch(Y.take(idxs, axis=0), R, l, table)
+            X[:, self._box_rows] = np.clip(Y[:, self._box_rows], self._lo, self._hi)
+        for (idxs, R, l, table), rows in zip(self._poly_groups, self._poly_rows):
+            try:
+                X[:, rows] = project_polyhedron_batch(Y[:, rows], R, l, table)
+            except ProjectionError as exc:
+                path, row = np.divmod(exc.rows, idxs.size)
+                exc.rows = path * self.n + idxs[row]
+                raise
         return X
 
     def membership_violations(self, X):

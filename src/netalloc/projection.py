@@ -80,37 +80,56 @@ def face_table(R):
 def project_polyhedron_batch(Y, R, l, table):
     """Project the rows of Y onto per-row polyhedra {x : R[i] x <= l[i]}.
 
-    Y is (n, m); R is (n, p, m); l is (n, p); `table` is `face_table(R)`.
-    Rows already inside (every slack <= FEAS_TOL) are returned untouched; the
-    others take the dual-feasible face of least residual and are certified to
-    FEAS_TOL * max(1, |l|, |R| (|y| + |x|)).  Raises ProjectionError when a
-    certificate fails.
+    Y is (n, m), or (P, n, m) for P segments (sample paths) of n rows each;
+    R is (n, p, m); l is (n, p); `table` is `face_table(R)`.  Rows already
+    inside (every slack <= FEAS_TOL) are returned untouched; the others take
+    the dual-feasible face of least residual and are certified to
+    FEAS_TOL * max(1, |l|, |R| (|y| + |x|)).  Each segment's rows come out
+    bit for bit as when that segment is projected alone.  Raises
+    ProjectionError, listing the failing rows, when a certificate fails.
     """
-    S = np.einsum("npm,nm->np", R, Y) - l
-    idx = (S > FEAS_TOL).any(axis=1).nonzero()[0]
-    if not idx.size:
+    n, p, m = R.shape
+    S = np.einsum("npm,...nm->...np", R, Y) - l
+    rows = (S > FEAS_TOL).any(axis=-1).ravel().nonzero()[0]
+    if not rows.size:
         return Y
-    Sv = S.take(idx, axis=0)
+    Sv = S.reshape(-1, p).take(rows, axis=0)
     maps, tid = table
-    if len(maps) == 1:
-        out = Sv @ maps[0]
+    # one GEMM per segment: OpenBLAS rounds a row of Sv @ maps[0] differently
+    # with the number of rows in the call, so stacking segments would make a
+    # path's bits depend on its batch; every other step below is row by row
+    agent, bounds = rows, [0, rows.size]
+    if Y.ndim == 3 and len(Y) > 1:
+        seg, agent = np.divmod(rows, n)
+        bounds[1:1] = (np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist()
+
+    def faces(a, b, out=None):
+        if len(maps) == 1:
+            return np.matmul(Sv[a:b], maps[0], out=out)
+        return np.einsum("kp,kpw->kw", Sv[a:b], maps.take(tid.take(agent[a:b]), axis=0), out=out)
+
+    if len(bounds) == 2:
+        out = faces(0, rows.size)
     else:
-        out = np.einsum("kp,kpw->kw", Sv, maps.take(tid.take(idx), axis=0))
-    p, m = R.shape[1:]
-    out = out.reshape(idx.size, p + m + min(p, m), -1)
+        out = np.empty((rows.size, maps.shape[-1]))
+        for a, b in zip(bounds, bounds[1:]):
+            faces(a, b, out[a:b])
+    out = out.reshape(rows.size, p + m + min(p, m), -1)
     key = out[:, :p].max(axis=1)
     key[out[:, p + m:].min(axis=1) < 0.0] = np.inf
-    Yv, Rv, lv = Y.take(idx, axis=0), R.take(idx, axis=0), l.take(idx, axis=0)
-    Xv = Yv - out[np.arange(idx.size), p:p + m, key.argmin(axis=1)]
+    Yv, Rv, lv = Y.reshape(-1, m).take(rows, axis=0), R.take(agent, axis=0), l.take(agent, axis=0)
+    Xv = Yv - out[np.arange(rows.size), p:p + m, key.argmin(axis=1)]
     viol = np.einsum("kpm,km->kp", Rv, Xv) - lv
     if not (viol <= FEAS_TOL).all():
         # roundoff in R x - l grows with |l| and |R| (|y| + |x|); scaling can only loosen the test
         viol /= np.maximum(np.maximum(np.abs(lv), np.einsum("kpm,km->kp", np.abs(Rv), np.abs(Yv) + np.abs(Xv))), 1.0)
-        if not (viol <= FEAS_TOL).all():
-            worst = float(viol.max())
-            raise ProjectionError(f"membership certificate missed by {worst:.3e}, scaled", membership_violation=worst)
+        bad = ~(viol <= FEAS_TOL).all(axis=1)
+        if bad.any():
+            worst = float(viol[bad].max())
+            raise ProjectionError(f"membership certificate missed by {worst:.3e}, scaled",
+                                  membership_violation=worst, rows=rows[bad])
     X = Y.copy()
-    X[idx] = Xv
+    X.reshape(-1, m)[rows] = Xv
     return X
 
 
