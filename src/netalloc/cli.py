@@ -11,6 +11,7 @@ import json
 import os
 import platform
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -119,22 +120,38 @@ def run_section(config):
     return run
 
 
+def blas_info():
+    """(name, version) of the BLAS numpy was built against, or (None, None)
+    where numpy cannot say.  A path's bits per segment rest on its rounding."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None, None
+    return blas.get("name"), blas.get("version")
+
+
 def prepare_out(args, command, config, overrides):
+    """Create the output directory and write its manifest; `main` adds the
+    command's wall time, `wall_s`, once the command finishes."""
     out = args.out
     if out is None:
         raise ConfigError(f"'{command}' needs --out")
     os.makedirs(out, exist_ok=True)
-    write_json(os.path.join(out, "manifest.json"), {
+    blas, blas_version = blas_info()
+    args.manifest = {
         "command": command,
         "version": __version__,
         "seed": run_section(config).get("seed"),
         "stream_version": STREAM_VERSION,
         "numpy": np.__version__,
+        "blas": blas,
+        "blas_version": blas_version,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "overrides": overrides,
         "config": config,
-    })
+    }
+    write_json(os.path.join(out, "manifest.json"), args.manifest)
     return out
 
 
@@ -355,8 +372,13 @@ def main(argv=None):
                                     "message": f"'{args.command}' needs --config"}}),
               file=sys.stderr)
         return 2
+    start = perf_counter()
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        if getattr(args, "manifest", None) is not None:
+            args.manifest["wall_s"] = perf_counter() - start
+            write_json(os.path.join(args.out, "manifest.json"), args.manifest)
+        return code
     except (ConfigError, ValueError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)

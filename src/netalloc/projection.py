@@ -3,16 +3,31 @@
 Face table: per distinct R, every linearly independent set F of at most
 min(p, m) rows maps the slacks s = R y - l linearly to mu_F = (R_F R_F')^-1 s_F,
 to the offset R_F' mu_F, so x_F = y - R_F' mu_F is y projected onto
-{R_F x = l_F}, and to the residuals R x_F - l = s - R R_F' mu_F; one GEMM
-evaluates every face.  Selection by the KKT conditions: x_F is stationary by
-construction, so P(y) is the dual-feasible (mu_F >= 0) face of least residual;
-a wrong face trails by its infeasibility, linear in its distance from P(y).
-Certificate: R x_F - l <= FEAS_TOL, scaled by max(1, |l|, |R| (|y| + |x_F|))
-as roundoff grows with those, or ProjectionError.  `check_table` caps the
-tables; `dykstra` stays as the tests' independent reference.
+{R_F x = l_F}, and to the residuals R x_F - l = s - R R_F' mu_F.  Each face
+has the code sum_{j in F} 2^j; the table's faces are sorted by code.
+
+x_F is stationary by construction.  If it is also dual feasible (mu_F >= 0)
+and primal feasible, it meets the KKT conditions, which suffice for a convex
+QP, so it is P(y).  The kernel projects a violating row in two stages:
+
+1. The violated face.  The row looks up the face made of exactly its
+   violated rows (s > FEAS_TOL) by its code, multiplies its slacks by that
+   face's block of the table alone, and keeps x_F if mu_F >= 0 and
+   R x_F - l <= FEAS_TOL.  Most rows stop here.
+2. The table.  The other rows evaluate every face, one GEMM per path
+   segment, and take the dual-feasible face of least residual.  It must pass
+   the certificate mu_F >= 0 and R x_F - l <= FEAS_TOL scaled by
+   max(1, |l|, |R| (|y| + |x_F|)), as roundoff grows with those, or the
+   kernel raises ProjectionError.
+
+A wrong face's residual grows linearly with its distance from P(y), so a
+wrong face passes either test only within about FEAS_TOL of P(y); a code
+that names the wrong face costs at most a trip to the table.  `check_table`
+caps the tables; `dykstra` stays as the tests' independent reference.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +39,12 @@ FEAS_TOL = 1e-12
 # membership tolerance of Dykstra's reference iteration
 MEMBER_TOL = 1e-9
 # caps on candidate faces per polyhedron (the DR template has 298) and on the
-# total size of one stack's tables: a row reads its whole table every step
+# total size of one stack's tables: a row the first stage does not certify
+# reads its whole table
 MAX_FACES = 512
 MAX_TABLE_BYTES = 32 * 2**20
+# bytes of intermediates `face_table` builds at a time
+BUILD_BYTES = 2**20
 
 DYKSTRA_CAP = 10_000
 DYKSTRA_TOL = 1e-10
@@ -46,35 +64,71 @@ def check_table(count, p, m):
                          f"tables; the caps are MAX_FACES = {MAX_FACES} and MAX_TABLE_BYTES = {MAX_TABLE_BYTES}")
 
 
+@lru_cache(maxsize=None)
+def _bits(p):
+    """2^j for the rows j < p: a row set's code is its indicator times these."""
+    bits = np.ldexp(1.0, np.arange(p))
+    bits.flags.writeable = False
+    return bits
+
+
+def _aligned_zeros(shape, align=64):
+    """Zeros on an `align`-byte boundary: OpenBLAS multiplies by a table that
+    starts off a cache line at about 1.5x the time (12 x 3,888, 2 rows)."""
+    buf = np.zeros(math.prod(shape) + align // 8)
+    start = -buf.ctypes.data % align // 8
+    return buf[start:start + math.prod(shape)].reshape(shape)
+
+
 def face_table(R):
-    """Face table (maps, tid) of a (n, p, m) stack of constraint matrices.
+    """Face table (maps, tid, codes) of a (n, p, m) stack of constraint matrices.
 
     Row i uses the distinct R number tid[i].  For its slacks s, `s @ maps[tid[i]]`
     reshaped to (p + m + w, faces), w = min(p, m), stacks the residuals R x_F - l,
     R_F' mu_F and mu_F (zero-padded to w rows) of every face, one face per
-    column.  A set of rows dependent in one R but not in another is the empty
-    face there: no multipliers, residuals s.
+    column; `codes` holds the faces' codes sum_{j in F} 2^j in ascending order.
+    Every face's code is an exact float for each (p, m) that `check_table`
+    admits (faces of two or more rows need p <= 31), and no array of size 2^p
+    is made.  A violated set of more than min(p, m) rows can round, past
+    p = 53, to the code of a face; the certificate then decides, as for any
+    other guess.  A set of rows dependent in one R but not in another is the
+    empty face there: no multipliers, residuals s.  The table is written in
+    place, a few distinct R at a time, on a 64-byte boundary.
     """
     n, p, m = R.shape
     Rs, tid = np.unique(R.reshape(n, p * m), axis=0, return_inverse=True)
     Rs = Rs.reshape(-1, p, m)
     check_table(len(Rs), p, m)
     w = min(p, m)
-    blocks, indep = [], []
+    sets, indep = [], []
     for k in range(1, w + 1):
         F = np.array(list(combinations(range(p), k)))
-        E = np.eye(p)[F]                                  # (c, k, p): s -> s_F
-        RF = Rs[:, F]                                     # (T, c, k, m)
-        ok = (np.linalg.matrix_rank(RF) == k)[..., None, None]
-        G = np.where(ok, RF @ np.swapaxes(RF, -1, -2), np.eye(k))
-        mu = np.linalg.inv(G) @ E * ok
-        off = np.swapaxes(RF, -1, -2) @ mu
-        pad = np.zeros(mu.shape[:2] + (w - k, p))
-        blocks.append(np.concatenate([np.eye(p) - Rs[:, None] @ off, off, mu, pad], axis=2))
-        indep.append(ok[..., 0, 0])
-    keep = np.concatenate(indep, axis=1).any(axis=0)
-    maps = np.concatenate(blocks, axis=1)[:, keep]        # (T, faces, p + m + w, p)
-    return np.ascontiguousarray(maps.transpose(0, 3, 2, 1)).reshape(len(Rs), p, -1), tid.reshape(n)
+        ok = np.linalg.matrix_rank(Rs[:, F]) == k         # (T, c)
+        keep = ok.any(axis=0)
+        sets.append(F[keep])
+        indep.append(ok[:, keep])
+    codes = np.concatenate([_bits(p)[F].sum(axis=1) for F in sets])
+    order = np.argsort(codes)
+    col = np.empty_like(order)
+    col[order] = np.arange(order.size)
+    maps = _aligned_zeros((len(Rs), p, p + m + w, codes.size))
+    chunk = max(1, BUILD_BYTES // maps[0].nbytes)
+    for t in range(0, len(Rs), chunk):
+        Rt = Rs[t:t + chunk]
+        first = 0
+        for k, (F, ok) in enumerate(zip(sets, indep), start=1):
+            c = col[first:first + len(F)]
+            first += len(F)
+            ok = ok[t:t + chunk, :, None, None]
+            RF = Rt[:, F]                                 # (tc, c, k, m)
+            G = np.where(ok, RF @ np.swapaxes(RF, -1, -2), np.eye(k))
+            mu = np.linalg.inv(G) @ np.eye(p)[F] * ok     # (tc, c, k, p): s -> mu_F
+            off = np.swapaxes(RF, -1, -2) @ mu
+            dst = maps[t:t + chunk]
+            dst[..., :p, c] = (np.eye(p) - Rt[:, None] @ off).transpose(0, 3, 2, 1)
+            dst[..., p:p + m, c] = off.transpose(0, 3, 2, 1)
+            dst[..., p + m:p + m + k, c] = mu.transpose(0, 3, 2, 1)
+    return maps, tid.reshape(n), codes[order]
 
 
 def project_polyhedron_batch(Y, R, l, table):
@@ -82,55 +136,84 @@ def project_polyhedron_batch(Y, R, l, table):
 
     Y is (n, m), or (P, n, m) for P segments (sample paths) of n rows each;
     R is (n, p, m); l is (n, p); `table` is `face_table(R)`.  Rows already
-    inside (every slack <= FEAS_TOL) are returned untouched; the others take
-    the dual-feasible face of least residual and are certified to
-    FEAS_TOL * max(1, |l|, |R| (|y| + |x|)).  Each segment's rows come out
-    bit for bit as when that segment is projected alone.  Raises
-    ProjectionError, listing the failing rows, when a certificate fails.
+    inside (every slack <= FEAS_TOL) are returned untouched.  A violating row
+    first tries the face of exactly its violated rows, read from its own
+    block of the table, and keeps it if mu_F >= 0 and R x_F - l <= FEAS_TOL.
+    The other rows (that face is not in the table, or fails) go to the whole
+    table.  Every step is row by row except the table's GEMM, which runs once
+    per segment, so each segment's rows come out bit for bit as when that
+    segment is projected alone.  Raises ProjectionError, listing the failing
+    rows, when a certificate fails.
     """
     n, p, m = R.shape
-    S = np.einsum("npm,...nm->...np", R, Y) - l
-    rows = (S > FEAS_TOL).any(axis=-1).ravel().nonzero()[0]
+    maps, tid, codes = table
+    S = (np.einsum("npm,...nm->...np", R, Y) - l).reshape(-1, p)
+    code = np.dot(S > FEAS_TOL, _bits(p))
+    rows = code.nonzero()[0]
     if not rows.size:
         return Y
-    Sv = S.reshape(-1, p).take(rows, axis=0)
-    maps, tid = table
-    # one GEMM per segment: OpenBLAS rounds a row of Sv @ maps[0] differently
-    # with the number of rows in the call, so stacking segments would make a
-    # path's bits depend on its batch; every other step below is row by row
-    agent, bounds = rows, [0, rows.size]
-    if Y.ndim == 3 and len(Y) > 1:
-        seg, agent = np.divmod(rows, n)
-        bounds[1:1] = (np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist()
-
-    def faces(a, b, out=None):
-        if len(maps) == 1:
-            return np.matmul(Sv[a:b], maps[0], out=out)
-        return np.einsum("kp,kpw->kw", Sv[a:b], maps.take(tid.take(agent[a:b]), axis=0), out=out)
-
-    if len(bounds) == 2:
-        out = faces(0, rows.size)
-    else:
-        out = np.empty((rows.size, maps.shape[-1]))
-        for a, b in zip(bounds, bounds[1:]):
-            faces(a, b, out[a:b])
-    out = out.reshape(rows.size, p + m + min(p, m), -1)
-    key = out[:, :p].max(axis=1)
-    key[out[:, p + m:].min(axis=1) < 0.0] = np.inf
+    Sv = S.take(rows, axis=0)
+    agent = rows % n if Y.ndim == 3 and len(Y) > 1 else rows
     Yv, Rv, lv = Y.reshape(-1, m).take(rows, axis=0), R.take(agent, axis=0), l.take(agent, axis=0)
-    Xv = Yv - out[np.arange(rows.size), p:p + m, key.argmin(axis=1)]
-    viol = np.einsum("kpm,km->kp", Rv, Xv) - lv
-    if not (viol <= FEAS_TOL).all():
-        # roundoff in R x - l grows with |l| and |R| (|y| + |x|); scaling can only loosen the test
-        viol /= np.maximum(np.maximum(np.abs(lv), np.einsum("kpm,km->kp", np.abs(Rv), np.abs(Yv) + np.abs(Xv))), 1.0)
-        bad = ~(viol <= FEAS_TOL).all(axis=1)
-        if bad.any():
-            worst = float(viol[bad].max())
-            raise ProjectionError(f"membership certificate missed by {worst:.3e}, scaled",
-                                  membership_violation=worst, rows=rows[bad])
+    # the face of exactly the violated rows: its offset and multiplier columns,
+    # gathered strided from the table; a stacked matmul is one product per
+    # row, so a row's bits do not depend on the others
+    cv = code[rows]
+    f = codes[:-1].searchsorted(cv)   # in range; a code past every face's fails the check below
+    o = np.matmul(Sv[:, None], maps[0 if len(maps) == 1 else tid.take(agent), :, p:, f])[:, 0]
+    Xv = Yv - o[:, :m]
+    # unscaled: a row that needs the scaled certificate goes to the table,
+    # which takes the least residual among the dual-feasible faces
+    good = (np.einsum("kpm,km->kp", Rv, Xv) - lv <= FEAS_TOL).all(axis=1)
+    good &= (o[:, m:].min(axis=1) >= 0.0) & (codes[f] == cv)
+    if not good.all():
+        rest = (~good).nonzero()[0]
+        Xv[rest] = _table_faces(Sv[rest], Yv[rest], Rv[rest], lv[rest], rows[rest], n, maps, tid)
     X = Y.copy()
     X.reshape(-1, m)[rows] = Xv
     return X
+
+
+def _table_faces(Sv, Yv, Rv, lv, rows, n, maps, tid):
+    """The rows' dual-feasible faces of least residual over the whole table,
+    certified to FEAS_TOL * max(1, |l|, |R| (|y| + |x|)): their points, or
+    ProjectionError.  One GEMM per segment (rows // n), since OpenBLAS rounds
+    a row of Sv @ maps[0] differently with the number of rows in the call:
+    stacking segments would make a path's bits depend on its batch."""
+    k, p = Sv.shape
+    m = Yv.shape[1]
+    bounds = [0, k]
+    if rows[0] // n != rows[-1] // n:
+        seg = rows // n
+        bounds[1:1] = ((seg[1:] != seg[:-1]).nonzero()[0] + 1).tolist()
+    flat = maps.reshape(len(maps), p, -1)
+
+    def evaluate(a, b, out=None):
+        if len(maps) == 1:
+            return np.matmul(Sv[a:b], flat[0], out=out)
+        return np.einsum("kp,kpw->kw", Sv[a:b], flat.take(tid.take(rows[a:b] % n), axis=0), out=out)
+
+    if len(bounds) == 2:
+        out = evaluate(0, k)
+    else:
+        out = np.empty((k, flat.shape[-1]))
+        for a, b in zip(bounds, bounds[1:]):
+            evaluate(a, b, out[a:b])
+    out = out.reshape((k,) + maps.shape[2:])
+    key = out[:, :p].max(axis=1)
+    key[out[:, p + m:].min(axis=1) < 0.0] = np.inf
+    pick = np.arange(k), key.argmin(axis=1)
+    Xv = Yv - out[pick[0], p:p + m, pick[1]]
+    viol = np.einsum("kpm,km->kp", Rv, Xv) - lv
+    if not ((viol <= FEAS_TOL).all() and key[pick].max() < np.inf):
+        # roundoff in R x - l grows with |l| and |R| (|y| + |x|); scaling can only loosen the test
+        viol /= np.maximum(np.maximum(np.abs(lv), np.einsum("kpm,km->kp", np.abs(Rv), np.abs(Yv) + np.abs(Xv))), 1.0)
+        bad = ~(viol <= FEAS_TOL).all(axis=1) | (key[pick] == np.inf)
+        if bad.any():
+            worst = float(viol[bad].max())
+            raise ProjectionError(f"certificate missed: membership by {worst:.3e}, scaled, or no dual-feasible face",
+                                  membership_violation=worst, rows=rows[bad])
+    return Xv
 
 
 def project_polyhedron(y, R, l):

@@ -202,12 +202,12 @@ def test_projection_error_lists_its_rows(dr):
     """A failed certificate names its rows: flat p * n + i in a stack, and
     the agent's row through project_paths."""
     problem, *_ = dr
-    ((idxs, R, l, (maps, tid)),) = problem._poly_groups
+    ((idxs, R, l, (maps, tid, codes)),) = problem._poly_groups
     Y = np.stack([[problem.agents[i].local_set.interior_point for i in idxs]] * 3)
     Y[1, 4] += 50.0
     Y[2, 0] += 50.0
     with pytest.raises(ProjectionError) as err:
-        project_polyhedron_batch(Y, R, l, (np.zeros_like(maps), tid))
+        project_polyhedron_batch(Y, R, l, (np.zeros_like(maps), tid, codes))
     np.testing.assert_array_equal(err.value.rows, [14, 20])
 
 

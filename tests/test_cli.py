@@ -115,6 +115,22 @@ def test_manifest_records_stream_version_and_environment(tmp_path):
     assert doc["cpu_count"] == os.cpu_count()
 
 
+def test_manifest_records_blas_and_wall_time(tmp_path):
+    """The manifest names the BLAS (a segment's bits rest on its rounding)
+    and, once the command has finished, its wall time."""
+    from time import perf_counter
+
+    cfg = write_config(tmp_path, base_config(reference="none", iterations=20))
+    start = perf_counter()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    elapsed = perf_counter() - start
+    doc = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (doc["blas"], doc["blas_version"]) == (blas["name"], blas["version"])
+    assert doc["blas"] and doc["blas_version"]
+    assert 0.0 < doc["wall_s"] <= elapsed
+
+
 def test_mc_thread_invariance_and_report_roundtrip(tmp_path):
     cfg = write_config(tmp_path, base_config(reference="none", iterations=200, paths=4))
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
