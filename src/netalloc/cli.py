@@ -122,7 +122,7 @@ def run_section(config):
 
 def blas_info():
     """(name, version) of the BLAS numpy was built against, or (None, None)
-    where numpy cannot say.  A path's bits per segment rest on its rounding."""
+    where numpy cannot say.  Every projected row's bits rest on its rounding."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):

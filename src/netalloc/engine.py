@@ -281,9 +281,10 @@ class PathDraws:
     channel of each path is drawn in one call: the graphs first, then the
     noise on the block's edges, in the order and amount K single-step draws
     (`sample_graph`, `draw_step_noise`) would take.  The block's received
-    channel noise is one np.bincount over (step, path, receiver); bincount
-    adds in input order, so every sum is the per-step scatter's.  Calling
-    the object returns the next step's StepInputs for all P paths.
+    channel noise is one `GraphSample.scatter` over the block's edges, with
+    receivers offset by path and step; it adds in input order, so every sum
+    is the per-step scatter's.  Calling the object returns the next step's
+    StepInputs for all P paths.
     """
 
     def __init__(self, problem, model, noise, seeds, iterations):
@@ -329,20 +330,14 @@ class PathDraws:
             self.delta = normals(RESOURCE, (n, m), noise.resource.sigma)
 
         steps = [np.repeat(np.arange(K), np.diff(gr.start)) for gr in graphs]
-        self.zrow = self.erow = 0.0
-        channels = [(c, ch) for c, ch in ((CHANNEL_LAMBDA, noise.channel_lambda),
-                                           (CHANNEL_Z, noise.channel_z)) if ch is not None]
-        if channels:
-            cm = len(channels) * m
-            idx = [((((p * K + k) * n + gr.dst)[:, None] * cm) + np.arange(cm)).ravel()
-                   for p, (k, gr) in enumerate(zip(steps, graphs))]
-            vals = [(np.concatenate([ch.sigma * s.channel(c).standard_normal((gr.dst.size, m))
-                                     for c, ch in channels], axis=1) * gr.w[:, None]).ravel()
-                    for s, gr in zip(streams, graphs)]
-            out = np.bincount(np.concatenate(idx), np.concatenate(vals), minlength=P * K * n * cm)
-            sums = iter(np.moveaxis(out.reshape(P, K, n, len(channels), m), 3, 0))
-            self.zrow = next(sums) if noise.channel_lambda is not None else 0.0
-            self.erow = next(sums) if noise.channel_z is not None else 0.0
+        dst, src, w = (np.concatenate([getattr(gr, f) for gr in graphs]) for f in ("dst", "src", "w"))
+        # the block's edges as one graph, receiver i of step k of path p as node (p * K + k) * n + i
+        off = np.concatenate([(p * K + k) * n for p, k in enumerate(steps)])
+        zeta, eps = (None if ch is None else np.concatenate(
+            [ch.sigma * s.channel(c).standard_normal((gr.dst.size, m)) for s, gr in zip(streams, graphs)])
+            for c, ch in ((CHANNEL_LAMBDA, noise.channel_lambda), (CHANNEL_Z, noise.channel_z)))
+        sums = GraphSample(P * K * n, off + dst, off + src, w).scatter(zeta, eps)
+        self.zrow, self.erow = (r if v is None else r.reshape(P, K, n, m) for v, r in zip((zeta, eps), sums))
 
         if self.model.pooled:
             self.laps = self.model.laplacians
@@ -353,8 +348,7 @@ class PathDraws:
             order = np.argsort(step, kind="stable")
             self.bounds = np.searchsorted(step[order], np.arange(K + 1))
             path = np.concatenate([np.full(gr.dst.size, p) for p, gr in enumerate(graphs)])
-            self.edges = tuple(a[order] for a in (
-                path, *(np.concatenate([getattr(gr, f) for gr in graphs]) for f in ("dst", "src", "w"))))
+            self.edges = tuple(a[order] for a in (path, dst, src, w))
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +714,8 @@ def monte_carlo(
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     seeds = [path_seed(master_seed, p) for p in range(paths)]
     # run_paths' positional arguments; None is the default initial state
     jobs = [(problem, model, noise, schedule, iterations, [seeds[p] for p in block], reference,

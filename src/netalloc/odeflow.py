@@ -5,7 +5,7 @@ graph with the mean Laplacian and drops all noise; its equilibria are
 exactly the optimality points of the coupled problem.  The projection acts
 on the allocation block only (multipliers and auxiliaries are free), so one
 Euler step is S+ = P(S + h J(S)) with the allocation rows projected onto
-their sets.  That step is the engine's step (`engine.apply_step`) with the
+their sets.  That step is the engine's step (`engine.step_batch`) with the
 mean graph, no noise and step size h, and the flow runs the same step loop
 (`engine.iterate`), which records the same metrics as on a sample path.
 """
@@ -15,10 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (NetworkState, StepInputs, StepNoise, StepSchedule, apply_step, iterate,
-                     state_metrics)
+from .engine import NetworkState, StepInputs, StepSchedule, iterate, state_metrics, step_batch
 from .errors import InconsistencyError
-from .network import GraphSample
 from .problem import ProblemSpec
 from .trace import Trace, build_trace
 
@@ -45,8 +43,9 @@ def drift(state: NetworkState, problem: ProblemSpec, mean_L) -> DriftEvaluation:
 
 def projected_euler_step(state: NetworkState, problem: ProblemSpec, mean_L, h: float) -> NetworkState:
     """One explicit Euler step of the projected dynamics: the engine step
-    with the mean graph, no noise and step size h (h must be positive)."""
-    return apply_step(state, problem, GraphSample.from_laplacian(mean_L), StepNoise(), h)
+    with the mean graph, no noise and step size h (h must be positive), on a
+    stack of one as in `flow`."""
+    return step_batch(NetworkState.stack(state, 1), problem, StepInputs(mean_L), h).path(0)
 
 
 def lyapunov(state: NetworkState, equilibrium: NetworkState) -> float:

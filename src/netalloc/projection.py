@@ -14,11 +14,15 @@ QP, so it is P(y).  The kernel projects a violating row in two stages:
    violated rows (s > FEAS_TOL) by its code, multiplies its slacks by that
    face's block of the table alone, and keeps x_F if mu_F >= 0 and
    R x_F - l <= FEAS_TOL.  Most rows stop here.
-2. The table.  The other rows evaluate every face, one GEMM per path
-   segment, and take the dual-feasible face of least residual.  It must pass
-   the certificate mu_F >= 0 and R x_F - l <= FEAS_TOL scaled by
-   max(1, |l|, |R| (|y| + |x_F|)), as roundoff grows with those, or the
-   kernel raises ProjectionError.
+2. The table.  The other rows evaluate every face of their table and take
+   the dual-feasible face of least residual.  It must pass the certificate
+   mu_F >= 0 and R x_F - l <= FEAS_TOL scaled by max(1, |l|, |R| (|y| +
+   |x_F|)), as roundoff grows with those, or the kernel raises
+   ProjectionError.
+
+Both stages multiply each row's slacks by its own table in one stacked
+matmul, one product per row, so a row's bits do not depend on the other rows
+of the call: every step of the kernel is row by row.
 
 A wrong face's residual grows linearly with its distance from P(y), so a
 wrong face passes either test only within about FEAS_TOL of P(y); a code
@@ -140,10 +144,10 @@ def project_polyhedron_batch(Y, R, l, table):
     first tries the face of exactly its violated rows, read from its own
     block of the table, and keeps it if mu_F >= 0 and R x_F - l <= FEAS_TOL.
     The other rows (that face is not in the table, or fails) go to the whole
-    table.  Every step is row by row except the table's GEMM, which runs once
-    per segment, so each segment's rows come out bit for bit as when that
-    segment is projected alone.  Raises ProjectionError, listing the failing
-    rows, when a certificate fails.
+    table.  Every step is row by row, both stages multiplying a row's slacks
+    by its table in a stacked matmul (one product per row), so each row comes
+    out bit for bit as when it is projected alone.  Raises ProjectionError,
+    listing the failing rows, when a certificate fails.
     """
     n, p, m = R.shape
     maps, tid, codes = table
@@ -153,14 +157,16 @@ def project_polyhedron_batch(Y, R, l, table):
     if not rows.size:
         return Y
     Sv = S.take(rows, axis=0)
-    agent = rows % n if Y.ndim == 3 and len(Y) > 1 else rows
+    agent = rows % n
     Yv, Rv, lv = Y.reshape(-1, m).take(rows, axis=0), R.take(agent, axis=0), l.take(agent, axis=0)
+    # each row's table: one shared table is indexed by 0, so that the table
+    # stage multiplies by a broadcast view and copies no table per row
+    t = 0 if len(maps) == 1 else tid.take(agent)
     # the face of exactly the violated rows: its offset and multiplier columns,
-    # gathered strided from the table; a stacked matmul is one product per
-    # row, so a row's bits do not depend on the others
+    # gathered strided from the table
     cv = code[rows]
     f = codes[:-1].searchsorted(cv)   # in range; a code past every face's fails the check below
-    o = np.matmul(Sv[:, None], maps[0 if len(maps) == 1 else tid.take(agent), :, p:, f])[:, 0]
+    o = np.matmul(Sv[:, None], maps[t, :, p:, f])[:, 0]
     Xv = Yv - o[:, :m]
     # unscaled: a row that needs the scaled certificate goes to the table,
     # which takes the least residual among the dual-feasible faces
@@ -168,38 +174,23 @@ def project_polyhedron_batch(Y, R, l, table):
     good &= (o[:, m:].min(axis=1) >= 0.0) & (codes[f] == cv)
     if not good.all():
         rest = (~good).nonzero()[0]
-        Xv[rest] = _table_faces(Sv[rest], Yv[rest], Rv[rest], lv[rest], rows[rest], n, maps, tid)
+        Xv[rest] = _table_faces(Sv[rest], Yv[rest], Rv[rest], lv[rest], rows[rest], maps,
+                                t[rest] if np.ndim(t) else t)
     X = Y.copy()
     X.reshape(-1, m)[rows] = Xv
     return X
 
 
-def _table_faces(Sv, Yv, Rv, lv, rows, n, maps, tid):
-    """The rows' dual-feasible faces of least residual over the whole table,
-    certified to FEAS_TOL * max(1, |l|, |R| (|y| + |x|)): their points, or
-    ProjectionError.  One GEMM per segment (rows // n), since OpenBLAS rounds
-    a row of Sv @ maps[0] differently with the number of rows in the call:
-    stacking segments would make a path's bits depend on its batch."""
+def _table_faces(Sv, Yv, Rv, lv, rows, maps, t):
+    """The rows' dual-feasible faces of least residual over their whole
+    tables (row i reads table t[i], or table t for all), certified to
+    FEAS_TOL * max(1, |l|, |R| (|y| + |x|)): their points, or ProjectionError
+    naming `rows`.  Each row's slacks are multiplied by its table alone, as
+    in the first stage, since OpenBLAS rounds a row of a GEMM differently
+    with the number of rows in the call."""
     k, p = Sv.shape
     m = Yv.shape[1]
-    bounds = [0, k]
-    if rows[0] // n != rows[-1] // n:
-        seg = rows // n
-        bounds[1:1] = ((seg[1:] != seg[:-1]).nonzero()[0] + 1).tolist()
-    flat = maps.reshape(len(maps), p, -1)
-
-    def evaluate(a, b, out=None):
-        if len(maps) == 1:
-            return np.matmul(Sv[a:b], flat[0], out=out)
-        return np.einsum("kp,kpw->kw", Sv[a:b], flat.take(tid.take(rows[a:b] % n), axis=0), out=out)
-
-    if len(bounds) == 2:
-        out = evaluate(0, k)
-    else:
-        out = np.empty((k, flat.shape[-1]))
-        for a, b in zip(bounds, bounds[1:]):
-            evaluate(a, b, out[a:b])
-    out = out.reshape((k,) + maps.shape[2:])
+    out = np.matmul(Sv[:, None], maps.reshape(len(maps), p, -1)[t])[:, 0].reshape((k,) + maps.shape[2:])
     key = out[:, :p].max(axis=1)
     key[out[:, p + m:].min(axis=1) < 0.0] = np.inf
     pick = np.arange(k), key.argmin(axis=1)

@@ -114,12 +114,12 @@ def dr():
 def test_segmented_projection_equals_segments_alone(dr, monkeypatch):
     """Each segment of a stacked projection returns the bits of that segment
     projected alone, on recorded DR inputs with >= 2 violating rows per
-    segment and on far-off points with a one-row segment.  A row of the face
-    GEMM Sv @ maps[0] can round differently with the number of rows in the
-    call (with OpenBLAS 0.3.31 it changed its last bits in 780 of 800 trials,
-    k = 1..40; here a one-row product, a matrix-vector call, differs from the
-    same row inside a larger product), so the kernel runs one GEMM per
-    segment."""
+    segment and on far-off points with a one-row segment.  A row of a GEMM
+    Sv @ maps[0] can round differently with the number of rows in the call
+    (with OpenBLAS 0.3.31 it changed its last bits in 780 of 800 trials,
+    k = 1..40; a one-row product, a matrix-vector call, differs from the same
+    row inside a larger product), so the kernel multiplies each row by its
+    table on its own."""
     problem, model, noise, schedule = dr
     ((idxs, R, l, table),) = problem._poly_groups
     recorded = []

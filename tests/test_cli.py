@@ -81,6 +81,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_mc_with_zero_threads_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(reference="none", iterations=20, paths=2))
+    rc = main(["mc", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == {"type": "ValueError", "message": "threads must be >= 1"}
+
+
 def test_run_byte_identical_for_same_seed(tmp_path):
     cfg = write_config(tmp_path, base_config(reference="none"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "7"]) == 0
@@ -116,7 +124,7 @@ def test_manifest_records_stream_version_and_environment(tmp_path):
 
 
 def test_manifest_records_blas_and_wall_time(tmp_path):
-    """The manifest names the BLAS (a segment's bits rest on its rounding)
+    """The manifest names the BLAS (a projected row's bits rest on its rounding)
     and, once the command has finished, its wall time."""
     from time import perf_counter
 

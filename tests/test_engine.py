@@ -270,6 +270,15 @@ def test_monte_carlo_thread_invariance():
     assert a.summary() == b.summary()
 
 
+def test_monte_carlo_needs_at_least_one_thread():
+    problem = tiny_problem(3, 1, kind="box", seed=12)
+    model = ring_model(3)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            monte_carlo(problem, model, NoiseConfig.noiseless(), StepSchedule.constant(0.1), 10,
+                        paths=2, master_seed=3, threads=threads)
+
+
 def test_monte_carlo_records_diverged_paths():
     problem = tiny_problem(3, 1, kind="unconstrained", seed=13)
     model = ring_model(3)

@@ -173,6 +173,28 @@ def test_segments_mixing_stage_and_table_rows_equal_each_alone(dr, monkeypatch, 
             np.testing.assert_array_equal(seg, project_polyhedron_batch(Y, R, l, table))
 
 
+def test_each_row_comes_out_as_alone(dr, monkeypatch, table_rows):
+    """On recorded DR inputs whose path sends two or more rows to the table,
+    each violating row projected alone (its own R, l and table index) equals
+    its row of the batch bit for bit: the table multiplies row by row, where
+    one GEMM over the rows could round a row differently with their number."""
+    problem, model = dr
+    ((_, R, l, (maps, tid, codes)),) = problem._poly_groups
+    inputs = record_inputs(monkeypatch, lambda: run_path(
+        problem, model, experiments.default_noise(), StepSchedule.power(1.0, 0.6), 400, seed=5))
+    checked = 0
+    for Y in inputs:
+        table_rows.clear()
+        X = project_polyhedron_batch(Y, R, l, (maps, tid, codes))
+        if not (table_rows and table_rows[0].size >= 2):
+            continue
+        checked += 1
+        for i in ((np.einsum("npm,...nm->...np", R, Y) - l)[0] > FEAS_TOL).any(axis=1).nonzero()[0]:
+            alone = project_polyhedron_batch(Y[:, i:i + 1], R[i:i + 1], l[i:i + 1], (maps, tid[i:i + 1], codes))
+            np.testing.assert_array_equal(alone[0, 0], X[0, i])
+    assert checked >= 100
+
+
 def test_a_wrong_guess_costs_only_a_fallback(dr, monkeypatch, table_rows):
     """With every code pointing at a neighbouring face (as a code collision
     would), rows fall to the table and the projections stay exact."""
