@@ -3,7 +3,8 @@
 Subcommands: validate, solve, run, mc, ode, report.  One JSON config
 document drives every subcommand, with sections {problem | instance_seed,
 graph, noise, schedule, run}; named flags override the matching config
-fields.  Exit codes: 0 ok, 1 numeric/convergence failure, 2 config error.
+fields.  Exit codes: 0 ok, 1 numeric/convergence failure, 2 config error;
+a failure's JSON error goes to stderr and to the manifest, if one was made.
 """
 
 import argparse
@@ -131,8 +132,9 @@ def blas_info():
 
 
 def prepare_out(args, command, config, overrides):
-    """Create the output directory and write its manifest; `main` adds the
-    command's wall time, `wall_s`, once the command finishes."""
+    """Create the output directory and build its manifest as `args.manifest`;
+    `main` writes it once the command has returned or raised, with the
+    command's wall time `wall_s` and, on failure, its `error`."""
     out = args.out
     if out is None:
         raise ConfigError(f"'{command}' needs --out")
@@ -151,7 +153,6 @@ def prepare_out(args, command, config, overrides):
         "overrides": overrides,
         "config": config,
     }
-    write_json(os.path.join(out, "manifest.json"), args.manifest)
     return out
 
 
@@ -372,21 +373,20 @@ def main(argv=None):
                                     "message": f"'{args.command}' needs --config"}}),
               file=sys.stderr)
         return 2
-    start = perf_counter()
+    start, error = perf_counter(), None
     try:
         code = handlers[args.command](args)
-        if getattr(args, "manifest", None) is not None:
-            args.manifest["wall_s"] = perf_counter() - start
-            write_json(os.path.join(args.out, "manifest.json"), args.manifest)
-        return code
-    except (ConfigError, ValueError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
-    except NetallocError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
+    except (ValueError, NetallocError) as exc:
+        code = 2 if isinstance(exc, (ConfigError, ValueError)) else 1
+        error = {"type": type(exc).__name__, "message": str(exc)}
+    if getattr(args, "manifest", None) is not None:
+        args.manifest["wall_s"] = perf_counter() - start
+        if error is not None:
+            args.manifest["error"] = error
+        write_json(os.path.join(args.out, "manifest.json"), args.manifest)
+    if error is not None:
+        print(json.dumps({"error": error}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -21,16 +21,13 @@ import numpy as np
 
 from .errors import DivergenceError, NetallocError, ProjectionError
 # sample_graph is kept importable here, where perfbench/tracer.py wraps it
-from .network import (GraphModel, GraphSample, max_edges, mean_laplacian, sample_graph,  # noqa: F401
-                      sample_graphs, validate_model)
+from .network import (BLOCK_BYTES, GraphModel, GraphSample, max_edges, mean_laplacian,  # noqa: F401
+                      sample_graph, sample_graphs, validate_model)
 from .problem import ProblemSpec
 from .streams import CHANNEL_LAMBDA, CHANNEL_Z, GRADIENT, GRAPH, RESOURCE, PathStream, path_seed
 from .trace import METRICS, Trace, build_trace, mean_trace
 
 DIVERGENCE_GUARD = 1e12
-# a batch draws a block of K steps ahead, K as large as keeps one block's
-# draws within this many bytes (see `block_steps`)
-BLOCK_BYTES = 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +439,8 @@ def apply_step(
     state: NetworkState, problem: ProblemSpec, graph: GraphSample, draws: StepNoise, alpha: float
 ) -> NetworkState:
     """One synchronous round from the time-k state with given noise draws:
-    `step_batch` on a batch of one."""
-    lap = graph.dense_laplacian
-    if lap is None:
-        lap = (np.zeros(graph.dst.size, dtype=int), graph.dst, graph.src, graph.w)
+    `step_batch` on a batch of one, over the graph's edges."""
+    lap = (np.zeros(graph.dst.size, dtype=int), graph.dst, graph.src, graph.w)
     zrow, erow = received_noise(graph, draws)
     inputs = StepInputs(lap, nu=draws.nu, delta=draws.delta, zrow=zrow, erow=erow)
     return step_batch(NetworkState.stack(state, 1), problem, inputs, alpha).path(0)

@@ -4,14 +4,20 @@ Per-step graphs may be directed; only the mean Laplacian must be symmetric
 with positive algebraic connectivity for the allocation dynamics to mix.
 Sampled adjacencies are 0/1 with zero diagonal; weighted adjacencies are
 accepted for diagnostics (e.g. stepping the recursion with the mean graph).
-A drawn graph is a list of directed edges, so a gossip or broadcast step
-touches its own links only and never builds an n x n matrix.
+A drawn graph is only its directed edges, so a gossip or broadcast step
+touches its own links only and never builds an n x n matrix.  Dense
+Laplacians exist only where a step multiplies them: a pool's member stack
+`GraphModel.laplacians` and the mean Laplacian.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+# draws made a block of K steps per call keep one block's arrays within this
+# many bytes (`engine.block_steps`, `mean_laplacian_mc`)
+BLOCK_BYTES = 2 * 2**20
 
 
 def _adjacency(adjacency) -> np.ndarray:
@@ -35,30 +41,21 @@ class GraphSample:
     with weight w[e].
 
     The edge order is the order in which per-link channel noise is drawn.
-    `dense_laplacian` is held only by samples that already have one (a pool
-    member's precomputed Laplacian, the mean graph); the recursion multiplies
-    by it there and scatters over the edges otherwise.
+    The edges are all a sample holds: `adjacency` and `laplacian` build the
+    dense matrices on demand.
     """
 
     n: int
     dst: np.ndarray
     src: np.ndarray
     w: np.ndarray
-    dense_laplacian: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
-    def from_adjacency(cls, adjacency, dense_laplacian=None):
+    def from_adjacency(cls, adjacency):
         """The edges of a square, zero-diagonal adjacency, in row-major order."""
         A = _adjacency(adjacency)
         dst, src = np.nonzero(A)
-        return cls(n=A.shape[0], dst=dst, src=src, w=A[dst, src],
-                   dense_laplacian=dense_laplacian)
-
-    @classmethod
-    def from_laplacian(cls, L):
-        """The weighted graph whose Laplacian is L, e.g. the mean graph."""
-        L = np.asarray(L, dtype=float)
-        return cls.from_adjacency(np.diag(np.diag(L)) - L, dense_laplacian=L)
+        return cls(n=A.shape[0], dst=dst, src=src, w=A[dst, src])
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -68,8 +65,6 @@ class GraphSample:
 
     @property
     def laplacian(self) -> np.ndarray:
-        if self.dense_laplacian is not None:
-            return self.dense_laplacian
         return laplacian(self.adjacency)
 
     def scatter(self, *cols):
@@ -103,10 +98,11 @@ class GraphModel:
     broadcast:        a single uniformly random node wakes and is heard by
                       its neighbors in a base graph.
 
-    The pool members' edge samples, the edge table `sample_graphs` gathers
-    from, the exact mean Laplacian and the validation report are computed
-    once, on first use, and kept in the model: a model is not to be changed
-    after it has been used.
+    Pools keep their members' adjacencies `graphs` and Laplacians
+    `laplacians`, the stack a batch of paths multiplies.  The edge table
+    `sample_graphs` gathers from, the exact mean Laplacian and the
+    validation report are computed once, on first use, and kept in the
+    model: a model is not to be changed after it has been used.
     """
 
     kind: str
@@ -117,7 +113,6 @@ class GraphModel:
     p_lo: Optional[float] = None
     p_hi: Optional[float] = None
     pool_size: Optional[int] = None
-    _pool: Optional[list] = field(default=None, init=False, compare=False, repr=False)
     _members: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _mean_L: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
     _report: Optional["ValidationReport"] = field(default=None, init=False, compare=False,
@@ -125,7 +120,7 @@ class GraphModel:
 
     @property
     def pooled(self):
-        """True for the pool kinds, whose members carry dense Laplacians."""
+        """True for the pool kinds, which keep their members' dense Laplacians."""
         return self.kind in ("fixed_pool", "erdos_renyi_pool")
 
     @classmethod
@@ -163,28 +158,22 @@ class GraphModel:
 
     @classmethod
     def broadcast(cls, base):
-        base = np.asarray(base, dtype=float)
+        base = _adjacency(base)
         if np.abs(base - base.T).max() > 0:
             raise ValueError("broadcast base graph must be undirected")
-        if np.abs(np.diag(base)).max(initial=0.0) != 0.0:
-            raise ValueError("base adjacency diagonal must be zero")
         return cls(kind="broadcast", n=base.shape[0], base=base)
 
 
 def sample_graph(model: GraphModel, rng) -> GraphSample:
     """One i.i.d. draw from the model, consuming `rng` deterministically.
 
-    Edge order: a pool member's adjacency in row-major order (the member
-    also carries its dense Laplacian); for gossip on the pair (i, j), i
-    hears j and then j hears i; for broadcast from node v, v's neighbors in
-    increasing order hear v.
+    Edge order: a pool member's adjacency in row-major order; for gossip on
+    the pair (i, j), i hears j and then j hears i; for broadcast from node
+    v, v's neighbors in increasing order hear v.
     """
     n = model.n
     if model.pooled:
-        if model._pool is None:
-            model._pool = [GraphSample.from_adjacency(A, dense_laplacian=L)
-                           for A, L in zip(model.graphs, model.laplacians)]
-        return model._pool[int(rng.integers(0, len(model._pool)))]
+        return GraphSample.from_adjacency(model.graphs[int(rng.integers(0, len(model.graphs)))])
     if model.kind == "gossip":
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n - 1))
@@ -276,17 +265,31 @@ def _mean_laplacian(model: GraphModel) -> np.ndarray:
 
 
 def mean_laplacian_mc(model: GraphModel, draws=100_000, seed=0):
-    """Monte Carlo estimate of the mean Laplacian with entrywise standard errors."""
+    """Monte Carlo estimate of the mean Laplacian with entrywise standard errors.
+
+    The draws come in `sample_graphs` blocks whose edge arrays fit
+    BLOCK_BYTES, consuming `rng` as `draws` calls of `sample_graph` would,
+    and each draw's Laplacian is summed from its edges: -w at (dst, src) and
+    its in-weights on the diagonal.  Memory is O(n^2 + BLOCK_BYTES).
+    """
     if draws < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
     n = model.n
     acc = np.zeros((n, n))
     acc2 = np.zeros((n, n))
-    for _ in range(draws):
-        L = sample_graph(model, rng).laplacian
-        acc += L
-        acc2 += L * L
+    # per draw: its edge arrays, gathers and bins, and its n in-weights and their squares
+    K = max(1, BLOCK_BYTES // (8 * (8 * max_edges(model) + 2 * n)))
+    for done in range(0, draws, K):
+        k = min(K, draws - done)
+        g = sample_graphs(model, rng, k)
+        cell = g.dst * n + g.src
+        acc -= np.bincount(cell, g.w, minlength=n * n).reshape(n, n)
+        acc2 += np.bincount(cell, g.w * g.w, minlength=n * n).reshape(n, n)
+        step = np.repeat(np.arange(k) * n, np.diff(g.start))
+        deg = np.bincount(step + g.dst, g.w, minlength=k * n).reshape(k, n)
+        acc.flat[::n + 1] += deg.sum(axis=0)
+        acc2.flat[::n + 1] += (deg * deg).sum(axis=0)
     mean = acc / draws
     var = np.maximum(acc2 / draws - mean**2, 0.0)
     stderr = np.sqrt(var / draws)

@@ -71,7 +71,6 @@ def flow(
     h: float,
     steps: int,
     equilibrium: Optional[NetworkState] = None,
-    reference=None,
     cadence: int = 1,
 ) -> FlowResult:
     """Integrate the projected dynamics for `steps` Euler steps.
@@ -82,15 +81,15 @@ def flow(
     As on a sample path, the trace's k column is the state's own counter
     `state.k`.  The Lyapunov series (against a supplied equilibrium) is
     indexed by steps taken, from state0 through the final state, and fills
-    the trace's lyapunov column.  Requires
+    the trace's lyapunov column; the dist column measures X against the
+    equilibrium's X, and is empty without one.  Requires
     h * (2 * max gradient Lipschitz constant + 2 ||mean_L||) < 1.
     """
     stiff = 2.0 * problem.max_lipschitz() + 2.0 * float(np.linalg.norm(mean_L, 2))
     if h * stiff >= 1.0:
         raise ValueError(f"h too large for the stability heuristic (h*{stiff:.3g} >= 1)")
 
-    if reference is None and equilibrium is not None:
-        reference = equilibrium.X
+    reference = None if equilibrium is None else equilibrium.X
     step_inputs = StepInputs(mean_L)
     lya = []
 

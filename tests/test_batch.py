@@ -48,7 +48,7 @@ def test_block_graph_draws_equal_single_draws(model):
         for name in ("dst", "src", "w"):
             np.testing.assert_array_equal(getattr(draws, name)[sl], getattr(g, name))
         if model.pooled:
-            np.testing.assert_array_equal(model.laplacians[draws.ids[k]], g.dense_laplacian)
+            np.testing.assert_array_equal(model.laplacians[draws.ids[k]], g.laplacian)
     assert block.integers(0, 2**62) == single.integers(0, 2**62)
 
 
@@ -92,7 +92,7 @@ def test_block_noise_equals_single_step_draws(monkeypatch, model, noise):
             for got, want in zip((step.zrow, step.erow), received_noise(graph, draws)):
                 np.testing.assert_array_equal(got if np.isscalar(got) else got[p], want)
             if model.pooled:
-                np.testing.assert_array_equal(step.lap[p], graph.dense_laplacian)
+                np.testing.assert_array_equal(step.lap[p], graph.laplacian)
             else:
                 path, dst, src, w = step.lap
                 mine = path == p

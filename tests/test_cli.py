@@ -89,6 +89,21 @@ def test_mc_with_zero_threads_exits_2(tmp_path, capsys):
     assert doc["error"] == {"type": "ValueError", "message": "threads must be >= 1"}
 
 
+def test_failed_command_manifest_records_its_error(tmp_path, capsys):
+    """A command that fails once its output directory exists leaves a manifest
+    with its wall time and the error it printed on stderr; a finished
+    command's manifest has no error."""
+    cfg = write_config(tmp_path, base_config(reference="none", iterations=20, paths=2))
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert doc["error"] == err["error"] == {"type": "ValueError",
+                                            "message": "threads must be >= 1"}
+    assert doc["command"] == "mc" and doc["wall_s"] > 0.0
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "p"), "--threads", "1"]) == 0
+    assert "error" not in json.loads((tmp_path / "p" / "manifest.json").read_text())
+
+
 def test_run_byte_identical_for_same_seed(tmp_path):
     cfg = write_config(tmp_path, base_config(reference="none"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "7"]) == 0

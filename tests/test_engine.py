@@ -321,7 +321,8 @@ def test_channel_independence():
 
 def test_all_pairs_draw_equals_its_edge_gather():
     """apply_step fed an all-pairs (n, n, m) draw equals, bit for bit, apply_step
-    fed the same draw gathered on the graph's edges, on edge-only and dense samples."""
+    fed the same draw gathered on the graph's edges, on gossip, broadcast, pool
+    and mean-graph samples."""
     from netalloc import mean_laplacian, random_instance, sample_graph
 
     problem = random_instance(2, 6, 2, set_kind="box")
@@ -332,7 +333,8 @@ def test_all_pairs_draw_equals_its_edge_gather():
     rng = np.random.default_rng(3)
     graphs = [sample_graph(model, rng) for model in
               (GraphModel.gossip(6), GraphModel.broadcast(ring), pool) for _ in range(3)]
-    graphs.append(GraphSample.from_laplacian(mean_laplacian(pool)))
+    mean_L = mean_laplacian(pool)
+    graphs.append(GraphSample.from_adjacency(np.diag(np.diag(mean_L)) - mean_L))
     stream = PathStream(5)
     state = NetworkState(X=problem.project_all(rng.standard_normal((6, 2))),
                          Lam=rng.standard_normal((6, 2)), Z=rng.standard_normal((6, 2)))
@@ -349,8 +351,8 @@ def test_all_pairs_draw_equals_its_edge_gather():
 
 def test_edge_scatter_matches_dense_products():
     """The edge path (one bincount for L @ Lam, L @ Z and the received noise)
-    agrees with the dense Laplacian product and the all-pairs einsum
-    sum_j a_ij zeta_ij to roundoff."""
+    agrees with the dense update lines, the Laplacian products and the
+    all-pairs einsum sum_j a_ij zeta_ij, to roundoff."""
     from netalloc import laplacian, random_instance
 
     problem = random_instance(4, 7, 2, set_kind="box")
@@ -358,19 +360,20 @@ def test_edge_scatter_matches_dense_products():
     rng = np.random.default_rng(9)
     state = NetworkState(X=problem.project_all(rng.standard_normal((7, 2))),
                          Lam=rng.standard_normal((7, 2)), Z=rng.standard_normal((7, 2)))
+    X, Lam, Z, alpha = state.X, state.Lam, state.Z, 0.2
     for seed, p in enumerate((0.3, 0.6, 1.0)):
         A = np.triu(rng.random((7, 7)) < p, 1) * rng.uniform(0.5, 2.0, (7, 7))
         A = A + A.T
-        edges = GraphSample.from_adjacency(A)
-        dense = GraphSample.from_adjacency(A, dense_laplacian=laplacian(A))
-        full = draw_step_noise(noise, problem, state.X, PathStream(seed))
-        a = apply_step(state, problem, edges, full, 0.2)
-        b = apply_step(state, problem, dense, full, 0.2)
-        for name in ("X", "Lam", "Z"):
-            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-13, atol=1e-13)
+        L = laplacian(A)
+        full = draw_step_noise(noise, problem, X, PathStream(seed))
+        nxt = apply_step(state, problem, GraphSample.from_adjacency(A), full, alpha)
         zrow = np.einsum("ij,ijm->im", A, full.zeta)
-        np.testing.assert_allclose(b.Z, state.Z + 0.2 * (laplacian(A) @ state.Lam - zrow),
-                                   rtol=1e-13, atol=1e-13)
+        erow = np.einsum("ij,ijm->im", A, full.eps)
+        want = (problem.project_all(X + alpha * (Lam - problem.grad_all(X))),
+                Lam + alpha * (problem.D - X - L @ Lam - L @ Z + zrow + erow),
+                Z + alpha * (L @ Lam - zrow))
+        for got, dense in zip((nxt.X, nxt.Lam, nxt.Z), want):
+            np.testing.assert_allclose(got, dense, rtol=1e-13, atol=1e-13)
 
 
 def test_gossip_step_does_no_n_by_n_work():

@@ -70,13 +70,15 @@ def test_gossip_single_edge():
 
 def test_edge_arrays_rebuild_dense_adjacency():
     """Each kind's edge arrays give back the dense adjacency of the draw, replayed
-    from a twin generator; pool members also carry their own dense Laplacian."""
+    from a twin generator, in the documented edge order, and leave the generator
+    where the twin leaves it."""
     directed = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     star = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
                      [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
     def pool_draw(model, twin):
-        return model.graphs[int(twin.integers(0, model.graphs.shape[0]))]
+        A = model.graphs[int(twin.integers(0, model.graphs.shape[0]))]
+        return A, np.nonzero(A)
 
     def gossip_draw(model, twin):
         i = int(twin.integers(0, model.n))
@@ -84,13 +86,14 @@ def test_edge_arrays_rebuild_dense_adjacency():
         j += j >= i
         A = np.zeros((model.n, model.n))
         A[i, j] = A[j, i] = 1.0
-        return A
+        return A, ([i, j], [j, i])
 
     def broadcast_draw(model, twin):
         v = int(twin.integers(0, model.n))
         A = np.zeros((model.n, model.n))
         A[:, v] = model.base[v]
-        return A
+        dst = np.flatnonzero(model.base[v])
+        return A, (dst, np.full(dst.size, v))
 
     cases = [
         (GraphModel.fixed_pool([directed, directed.T, np.zeros((3, 3))]), pool_draw),
@@ -102,20 +105,22 @@ def test_edge_arrays_rebuild_dense_adjacency():
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
         for _ in range(30):
             g = sample_graph(model, rng)
-            A = draw(model, twin)
+            A, (dst, src) = draw(model, twin)
             assert g.dst.shape == g.src.shape == g.w.shape == (np.count_nonzero(A),)
+            np.testing.assert_array_equal(g.dst, dst)
+            np.testing.assert_array_equal(g.src, src)
             np.testing.assert_array_equal(g.adjacency, A)
             np.testing.assert_array_equal(g.laplacian, laplacian(A))
-        assert (g.dense_laplacian is not None) == (model.kind in ("fixed_pool", "erdos_renyi_pool"))
+        assert rng.integers(0, 2**62) == twin.integers(0, 2**62)
 
 
 def test_mean_graph_edges_rebuild_its_adjacency():
     from netalloc import GraphSample
 
     L = mean_laplacian(GraphModel.erdos_renyi_pool(7, 10, 0.2, 0.6, seed=8))
-    g = GraphSample.from_laplacian(L)
+    g = GraphSample.from_adjacency(np.diag(np.diag(L)) - L)
     np.testing.assert_array_equal(g.adjacency, np.diag(np.diag(L)) - L)
-    assert g.laplacian is L
+    np.testing.assert_allclose(g.laplacian, L, rtol=0.0, atol=1e-14)
 
 
 def test_mean_laplacian_is_cached_and_read_only():
@@ -136,6 +141,15 @@ def test_sampled_laplacians_row_sums_and_diagonal():
             g = sample_graph(model, rng)
             assert np.abs(g.laplacian.sum(axis=1)).max() == 0.0
             assert np.diag(g.laplacian).min() >= 0.0
+
+
+def test_broadcast_checks_its_base_as_an_adjacency():
+    with pytest.raises(ValueError, match="adjacency must be square"):
+        GraphModel.broadcast(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="adjacency must be square"):
+        GraphModel.broadcast(np.zeros(3))
+    with pytest.raises(ValueError, match="adjacency diagonal must be zero"):
+        GraphModel.broadcast(PATH3 + np.eye(3))
 
 
 def test_broadcast_sample_points_to_waker():
@@ -181,6 +195,62 @@ def test_mean_laplacian_mc_matches_exact_within_3se():
     exact = mean_laplacian(model)
     gap = np.abs(est - exact)
     assert (gap <= 3.0 * se + 1e-12).all()
+
+
+def _mean_laplacian_mc_dense(model, draws, seed):
+    """The estimate from one dense Laplacian per `sample_graph` draw."""
+    rng = np.random.default_rng(seed)
+    acc = np.zeros((model.n, model.n))
+    acc2 = np.zeros((model.n, model.n))
+    for _ in range(draws):
+        L = sample_graph(model, rng).laplacian
+        acc += L
+        acc2 += L * L
+    mean = acc / draws
+    return mean, np.sqrt(np.maximum(acc2 / draws - mean**2, 0.0) / draws)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 3 * 2**12], ids=["budget", "small-blocks"])
+def test_mean_laplacian_mc_sums_the_dense_draws(monkeypatch, block_bytes):
+    """Summed from each draw's edges, block by block, the estimate and its
+    standard errors are the per-draw dense sums: bit for bit on 0/1 models,
+    to roundoff on a weighted pool."""
+    from netalloc import network
+
+    if block_bytes is not None:
+        monkeypatch.setattr(network, "BLOCK_BYTES", block_bytes)
+    ring = np.roll(np.eye(40), 1, axis=1) + np.roll(np.eye(40), -1, axis=1)
+    for model in (GraphModel.erdos_renyi_pool(10, 12, 0.2, 0.6, seed=6), GraphModel.gossip(8),
+                  GraphModel.broadcast(ring)):
+        got = mean_laplacian_mc(model, draws=1_500, seed=3)
+        want = _mean_laplacian_mc_dense(model, 1_500, 3)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    rng = np.random.default_rng(7)
+    weighted = [np.triu(rng.random((12, 12)) < 0.4, 1) * rng.uniform(0.1, 3.0, (12, 12))
+                for _ in range(6)]
+    model = GraphModel.fixed_pool([A + A.T for A in weighted])
+    for a, b in zip(mean_laplacian_mc(model, draws=3_000, seed=4),
+                    _mean_laplacian_mc_dense(model, 3_000, 4)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+
+
+def test_mean_laplacian_mc_memory_does_not_grow_with_draws():
+    """On a pool of complete graphs, ten times the draws peak no higher: the
+    draws are summed block by block, never held all at once."""
+    import tracemalloc
+
+    model = GraphModel.fixed_pool([np.ones((30, 30)) - np.eye(30)] * 3)
+    mean_laplacian_mc(model, draws=10)  # first use: the model's edge table
+    peaks = []
+    for draws in (300, 3_000):
+        tracemalloc.start()
+        try:
+            mean_laplacian_mc(model, draws=draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
