@@ -410,16 +410,17 @@ def step_batch(state: NetworkState, problem: ProblemSpec, inputs: StepInputs,
         raise ValueError("alpha must be positive")
     X, Lam, Z = state.X, state.Lam, state.Z
 
-    gradX = problem.grad_all(X)
+    step = problem.grad_all(X)
     if inputs.psi is not None:
-        gradX = gradX + (2.0 * np.einsum("...nij,...nj->...ni", inputs.psi, X) + inputs.theta)
+        step += 2.0 * np.einsum("...nij,...nj->...ni", inputs.psi, X) + inputs.theta
     elif inputs.nu is not None:
-        gradX = gradX + inputs.nu
-    Xn = problem.project_paths(X + alpha * (Lam - gradX))
+        step += inputs.nu
+    # X + alpha (Lam - grad), in place
+    np.subtract(Lam, step, out=step)
+    step *= alpha
+    step += X
+    Xn = problem.project_paths(step)
 
-    res = problem.D - X
-    if inputs.delta is not None:
-        res = res + inputs.delta
     if isinstance(inputs.lap, tuple):
         # L @ V sums w * (V[dst] - V[src]) onto dst, path p's nodes offset by p * n
         path, dst, src, w = inputs.lap
@@ -430,8 +431,23 @@ def step_batch(state: NetworkState, problem: ProblemSpec, inputs: StepInputs,
             Lf[dst] - Lf[src], Zf[dst] - Zf[src]))
     else:
         LLam, LZ = inputs.lap @ Lam, inputs.lap @ Z
-    Ln = Lam + alpha * (res - LLam - LZ + inputs.zrow + inputs.erow)
-    Zn = Z + alpha * (LLam - inputs.zrow)
+    # Lam + alpha (D - X + delta - L Lam - L Z + zrow + erow) and, in L Lam's
+    # buffer, Z + alpha (L Lam - zrow); a disabled channel adds nothing
+    Ln = problem.D_stack - X
+    if inputs.delta is not None:
+        Ln += inputs.delta
+    Ln -= LLam
+    Ln -= LZ
+    Zn = LLam
+    if not isinstance(inputs.zrow, float):
+        Ln += inputs.zrow
+        Zn -= inputs.zrow
+    if not isinstance(inputs.erow, float):
+        Ln += inputs.erow
+    Ln *= alpha
+    Ln += Lam
+    Zn *= alpha
+    Zn += Z
     return NetworkState(X=Xn, Lam=Ln, Z=Zn, k=state.k + 1)
 
 
@@ -539,11 +555,12 @@ def iterate(state, problem, schedule, iterations, inputs, mean_L, reference=None
     METRICS, where k is the state's own counter `state.k`, plus the
     allocation components listed by `watch` as (agent, component) pairs.
 
-    A path ends when its new state's norm passes DIVERGENCE_GUARD or is not
-    finite (a DivergenceError at the new counter) or when its rows fail the
-    projection certificate (the ProjectionError it raises alone, at the
-    counter it did not reach); the others step on, bit for bit as alone.
-    Returns one PathRun per path.
+    A path ends when its new state's squared norm, one sum of squares over
+    its three stacked blocks, passes DIVERGENCE_GUARD**2 or is not finite
+    (a NaN or inf in any block; a DivergenceError at the new counter), or
+    when its rows fail the projection certificate (the ProjectionError it
+    raises alone, at the counter it did not reach); the others step on, bit
+    for bit as alone.  Returns one PathRun per path.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -552,6 +569,7 @@ def iterate(state, problem, schedule, iterations, inputs, mean_L, reference=None
     P = len(state.X)
     runs = [PathRun() for _ in range(P)]
     live = np.arange(P)
+    guard = DIVERGENCE_GUARD**2
     for k in range(iterations):
         alpha = step_size(schedule, k)
         if k % cadence == 0:
@@ -581,14 +599,15 @@ def iterate(state, problem, schedule, iterations, inputs, mean_L, reference=None
             if not live.size:
                 return runs
             nxt = step_batch(state, problem, step, alpha)
-        norms = np.sqrt(np.add.reduce(nxt.X * nxt.X, axis=(1, 2))
-                        + np.add.reduce(nxt.Lam * nxt.Lam, axis=(1, 2))
-                        + np.add.reduce(nxt.Z * nxt.Z, axis=(1, 2)))
+        # each path's squared norm: one sum over its three blocks, squared in place
+        sq = np.concatenate((nxt.X, nxt.Lam, nxt.Z), axis=1)
+        np.multiply(sq, sq, out=sq)
+        sq = np.add.reduce(sq, axis=(1, 2))
         state = nxt
-        if not norms.max() <= DIVERGENCE_GUARD:  # a NaN norm fails the test too
-            bad = np.flatnonzero(~(norms <= DIVERGENCE_GUARD))
+        if not np.maximum.reduce(sq) <= guard:  # a NaN fails the test too
+            bad = np.flatnonzero(~(sq <= guard))
             for j in bad:
-                runs[live[j]].end(DivergenceError(iteration=state.k, norm=float(norms[j])), state.k)
+                runs[live[j]].end(DivergenceError(iteration=state.k, norm=float(np.sqrt(sq[j]))), state.k)
             keep = np.setdiff1d(np.arange(live.size), bad)
             live, state = live[keep], state.take(keep)
             if not live.size:

@@ -70,15 +70,19 @@ class GraphSample:
     def scatter(self, *cols):
         """Weighted sums onto the receivers: each (E, m) block becomes the
         (n, m) array sum over edges e into i of w[e] * col[e], all in one
-        np.bincount.  A None block gives 0.0."""
+        np.bincount binned block by block, so each sum is C-contiguous.  A
+        None block gives 0.0."""
         live = [c for c in cols if c is not None]
         if not live:
             return (0.0,) * len(cols)
         k, m = len(live), live[0].shape[1]
         vals = np.concatenate(live, axis=1) * self.w[:, None]
-        idx = (self.dst[:, None] * (k * m) + np.arange(k * m)).ravel()
-        out = np.bincount(idx, vals.ravel(), minlength=self.n * k * m).reshape(self.n, k, m)
-        sums = iter(out.transpose(1, 0, 2))
+        # column j of block c of edge e goes to bin (c, dst[e], j)
+        offsets = (np.arange(k)[:, None] * (self.n * m) + np.arange(m)).ravel()
+        idx = (self.dst[:, None] * m + offsets).ravel()
+        # astype: with no edges, bincount returns integers
+        out = np.bincount(idx, vals.ravel(), minlength=k * self.n * m).astype(float, copy=False)
+        sums = iter(out.reshape(k, self.n, m))
         return tuple(0.0 if c is None else next(sums) for c in cols)
 
 

@@ -49,12 +49,21 @@ def projected_euler_step(state: NetworkState, problem: ProblemSpec, mean_L, h: f
 
 
 def lyapunov(state: NetworkState, equilibrium: NetworkState) -> float:
-    """Half the squared distance between stacked states."""
-    return 0.5 * (
-        np.linalg.norm(state.X - equilibrium.X) ** 2
-        + np.linalg.norm(state.Lam - equilibrium.Lam) ** 2
-        + np.linalg.norm(state.Z - equilibrium.Z) ** 2
-    )
+    """Half the squared distance between stacked states: one sum of squares
+    over the differences of X, Lam and Z laid end to end, as `flow` takes it
+    before every step."""
+    return _half_square_sum(_flat(state) - _flat(equilibrium))
+
+
+def _flat(state):
+    """X, Lam and Z laid end to end."""
+    return np.concatenate([np.ravel(a) for a in (state.X, state.Lam, state.Z)])
+
+
+def _half_square_sum(diff):
+    """Half the sum of squares of a flat array, squared in place."""
+    np.multiply(diff, diff, out=diff)
+    return 0.5 * float(np.add.reduce(diff))
 
 
 @dataclass
@@ -92,10 +101,18 @@ def flow(
     reference = None if equilibrium is None else equilibrium.X
     step_inputs = StepInputs(mean_L)
     lya = []
+    if equilibrium is not None:
+        # the state's difference from the equilibrium, laid end to end in one
+        # flat buffer that every step reuses
+        eq = _flat(equilibrium)
+        diff = np.empty(eq.size)
+        stacked = diff.reshape(1, 3 * problem.n, problem.m)
 
     def inputs(batch):
         if equilibrium is not None:
-            lya.append(lyapunov(batch.path(0), equilibrium))
+            np.concatenate((batch.X, batch.Lam, batch.Z), axis=1, out=stacked)
+            np.subtract(diff, eq, out=diff)
+            lya.append(_half_square_sum(diff))
         return step_inputs
 
     run = iterate(NetworkState.stack(state0, 1), problem, StepSchedule.constant(h), steps, inputs,

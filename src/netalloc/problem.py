@@ -172,7 +172,7 @@ def project(local_set: LocalSet, y) -> np.ndarray:
         return y.copy()
     if local_set.kind == "box":
         return np.clip(y, local_set.lo, local_set.hi)
-    return project_polyhedron_batch(y[None], local_set.R[None], local_set.l[None], local_set.faces)[0].copy()
+    return project_polyhedron_batch(y[None], local_set.R[None], local_set.l[None], local_set.faces)[0]
 
 
 def membership_violation(local_set: LocalSet, x) -> float:
@@ -250,6 +250,9 @@ class ProblemSpec:
         self.n = len(agents)
         self.m = m
         self.D = np.array([a.resource for a in agents])
+        # D as a stack of one, (1, n, m): it meets a (P, n, m) stack of paths
+        # without broadcasting a missing dimension
+        self.D_stack = self.D[None]
         self._build_stacks()
 
     def _build_stacks(self):
@@ -260,6 +263,7 @@ class ProblemSpec:
         if self._quad_idx.size:
             self._Q2 = np.array([2.0 * self.agents[i].objective.Q for i in self._quad_idx])
             self._qc = np.array([self.agents[i].objective.c for i in self._quad_idx])
+            self._qc_stack = self._qc[None]
             self._Q = np.array([self.agents[i].objective.Q for i in self._quad_idx])
 
         self._box_idx = np.array(
@@ -282,13 +286,17 @@ class ProblemSpec:
         # stack is read through views and written without fancy indexing
         self._box_rows = _rows(self._box_idx)
         self._poly_rows = [_rows(group[0]) for group in self._poly_groups]
+        # one polyhedral group holds every agent: the kernel's result is the projection
+        self._one_group = len(self._poly_groups) == 1 and self._poly_groups[0][0].size == self.n
 
     # -- batched operations used by the engines --
 
     def grad_all(self, X):
         """Stacked gradients, one row per agent; X is (n, m) or a (P, n, m) stack of paths."""
         if not self._custom_idx:
-            return np.einsum("nij,...nj->...ni", self._Q2, X) + self._qc
+            G = np.einsum("nij,...nj->...ni", self._Q2, X)
+            G += self._qc_stack if G.ndim == 3 else self._qc
+            return G
         G = np.empty(X.shape)
         if self._quad_idx.size:
             sub = X.take(self._quad_idx, axis=-2)
@@ -318,8 +326,13 @@ class ProblemSpec:
 
     def project_paths(self, Y):
         """`project_all` for a (P, n, m) stack of paths: each path's rows come out
-        bit for bit as when projected alone.  A ProjectionError lists its
-        failing rows as p * n + i for agent i of path p."""
+        bit for bit as when projected alone, in a new array.  A
+        ProjectionError lists its failing rows as p * n + i for agent i of
+        path p."""
+        if self._one_group:
+            # the kernel's rows are already p * n + i
+            ((_, R, l, table),) = self._poly_groups
+            return project_polyhedron_batch(Y, R, l, table)
         X = Y.copy()
         if self._box_idx.size:
             X[:, self._box_rows] = np.clip(Y[:, self._box_rows], self._lo, self._hi)

@@ -8,12 +8,13 @@ has the code sum_{j in F} 2^j; the table's faces are sorted by code.
 
 x_F is stationary by construction.  If it is also dual feasible (mu_F >= 0)
 and primal feasible, it meets the KKT conditions, which suffice for a convex
-QP, so it is P(y).  The kernel projects a violating row in two stages:
+QP, so it is P(y).  The kernel projects a row in two stages:
 
-1. The violated face.  The row looks up the face made of exactly its
+1. The violated face.  Every row looks up the face made of exactly its
    violated rows (s > FEAS_TOL) by its code, multiplies its slacks by that
    face's block of the table alone, and keeps x_F if mu_F >= 0 and
-   R x_F - l <= FEAS_TOL.  Most rows stop here.
+   R x_F - l <= FEAS_TOL.  A row already inside is the empty face: it
+   multiplies zero slacks and keeps its bits.  Most rows stop here.
 2. The table.  The other rows evaluate every face of their table and take
    the dual-feasible face of least residual.  It must pass the certificate
    mu_F >= 0 and R x_F - l <= FEAS_TOL scaled by max(1, |l|, |R| (|y| +
@@ -96,7 +97,10 @@ def face_table(R):
     is made.  A violated set of more than min(p, m) rows can round, past
     p = 53, to the code of a face; the certificate then decides, as for any
     other guess.  A set of rows dependent in one R but not in another is the
-    empty face there: no multipliers, residuals s.  The table is written in
+    empty face there: no multipliers, residuals s.  The empty face itself
+    (code 0) has no column: a row with no violated constraint names no face
+    and multiplies zero slacks by the block its lookup lands on, which gives
+    the empty face's zero offset and multipliers.  The table is written in
     place, a few distinct R at a time, on a 64-byte boundary.
     """
     n, p, m = R.shape
@@ -139,45 +143,56 @@ def project_polyhedron_batch(Y, R, l, table):
     """Project the rows of Y onto per-row polyhedra {x : R[i] x <= l[i]}.
 
     Y is (n, m), or (P, n, m) for P segments (sample paths) of n rows each;
-    R is (n, p, m); l is (n, p); `table` is `face_table(R)`.  Rows already
-    inside (every slack <= FEAS_TOL) are returned untouched.  A violating row
-    first tries the face of exactly its violated rows, read from its own
-    block of the table, and keeps it if mu_F >= 0 and R x_F - l <= FEAS_TOL.
-    The other rows (that face is not in the table, or fails) go to the whole
-    table.  Every step is row by row, both stages multiplying a row's slacks
-    by its table in a stacked matmul (one product per row), so each row comes
-    out bit for bit as when it is projected alone.  Raises ProjectionError,
-    listing the failing rows, when a certificate fails.
+    R is (n, p, m); l is (n, p); `table` is `face_table(R)`.  Every row goes
+    through the violated-face stage in one stacked product: it looks up the
+    face of exactly its violated rows (slack > FEAS_TOL) by its code,
+    multiplies its slacks by that face's block of the table, and keeps x_F
+    if mu_F >= 0 and R x_F - l <= FEAS_TOL.  A row whose code names no face
+    multiplies zero slacks instead, so x = y: a row already inside (code 0,
+    the empty face) comes out with its input bits, -0.0 included, and never
+    reaches the table, and a violating one fails the test.  The rows that
+    fail go to the whole table.  Every step is row by row, both stages
+    multiplying a row's slacks by its table in a stacked matmul (one product
+    per row), so each row comes out bit for bit as when it is projected
+    alone.  Returns a new array; raises ProjectionError, listing the failing
+    rows, when a certificate fails.
     """
     n, p, m = R.shape
     maps, tid, codes = table
-    S = (np.einsum("npm,...nm->...np", R, Y) - l).reshape(-1, p)
-    code = np.dot(S > FEAS_TOL, _bits(p))
-    rows = code.nonzero()[0]
-    if not rows.size:
-        return Y
-    Sv = S.take(rows, axis=0)
-    agent = rows % n
-    Yv, Rv, lv = Y.reshape(-1, m).take(rows, axis=0), R.take(agent, axis=0), l.take(agent, axis=0)
+    lb = l[None] if Y.ndim == 3 else l   # (1, n, p) meets a stack without broadcasting a missing dimension
+    S = np.einsum("npm,...nm->...np", R, Y)
+    S -= lb
+    code = (S > FEAS_TOL).dot(_bits(p))
+    f = codes[:-1].searchsorted(code)   # in range; a code past every face's is named by no face
     # each row's table: one shared table is indexed by 0, so that the table
     # stage multiplies by a broadcast view and copies no table per row
-    t = 0 if len(maps) == 1 else tid.take(agent)
-    # the face of exactly the violated rows: its offset and multiplier columns,
-    # gathered strided from the table
-    cv = code[rows]
-    f = codes[:-1].searchsorted(cv)   # in range; a code past every face's fails the check below
-    o = np.matmul(Sv[:, None], maps[t, :, p:, f])[:, 0]
-    Xv = Yv - o[:, :m]
+    t = 0 if len(maps) == 1 else tid
+    # the slacks times the offset and multiplier columns of the face of
+    # exactly the violated rows, gathered strided from the table; a row whose
+    # code names no face (code 0 among them) multiplies zeros, so x = y: a row
+    # inside is certified as it is, a violating one fails below
+    named = codes[f] == code
+    o = np.matmul((S * named[..., None]).reshape(-1, 1, p),
+                  maps[t, :, p:, f].reshape(-1, p, maps.shape[2] - p))[:, 0]
+    X = Y - o[:, :m].reshape(Y.shape)
     # unscaled: a row that needs the scaled certificate goes to the table,
     # which takes the least residual among the dual-feasible faces
-    good = (np.einsum("kpm,km->kp", Rv, Xv) - lv <= FEAS_TOL).all(axis=1)
-    good &= (o[:, m:].min(axis=1) >= 0.0) & (codes[f] == cv)
-    if not good.all():
-        rest = (~good).nonzero()[0]
-        Xv[rest] = _table_faces(Sv[rest], Yv[rest], Rv[rest], lv[rest], rows[rest], maps,
-                                t[rest] if np.ndim(t) else t)
-    X = Y.copy()
-    X.reshape(-1, m)[rows] = Xv
+    resid = np.einsum("npm,...nm->...np", R, X)
+    resid -= lb
+    mu = o[:, m:]
+    if np.maximum.reduce(resid, axis=None) <= FEAS_TOL and np.minimum.reduce(mu, axis=None) >= 0.0:
+        return X
+    # some row failed, or holds a NaN: find which; a row with no violated
+    # slack never goes on, so a NaN row comes out NaN for the divergence guard
+    good = np.logical_and.reduce(resid <= FEAS_TOL, axis=-1)
+    good &= (np.minimum.reduce(mu, axis=1) >= 0.0).reshape(good.shape)
+    good |= code == 0.0
+    rest = np.flatnonzero(~good)
+    if rest.size:
+        agent = rest % n
+        X.reshape(-1, m)[rest] = _table_faces(
+            S.reshape(-1, p).take(rest, axis=0), Y.reshape(-1, m).take(rest, axis=0), R.take(agent, axis=0),
+            l.take(agent, axis=0), rest, maps, t if np.isscalar(t) else t.take(agent))
     return X
 
 
@@ -191,17 +206,17 @@ def _table_faces(Sv, Yv, Rv, lv, rows, maps, t):
     k, p = Sv.shape
     m = Yv.shape[1]
     out = np.matmul(Sv[:, None], maps.reshape(len(maps), p, -1)[t])[:, 0].reshape((k,) + maps.shape[2:])
-    key = out[:, :p].max(axis=1)
-    key[out[:, p + m:].min(axis=1) < 0.0] = np.inf
+    key = np.maximum.reduce(out[:, :p], axis=1)
+    key[np.minimum.reduce(out[:, p + m:], axis=1) < 0.0] = np.inf
     pick = np.arange(k), key.argmin(axis=1)
     Xv = Yv - out[pick[0], p:p + m, pick[1]]
     viol = np.einsum("kpm,km->kp", Rv, Xv) - lv
-    if not ((viol <= FEAS_TOL).all() and key[pick].max() < np.inf):
+    if not (np.logical_and.reduce(viol <= FEAS_TOL, axis=None) and np.maximum.reduce(key[pick]) < np.inf):
         # roundoff in R x - l grows with |l| and |R| (|y| + |x|); scaling can only loosen the test
         viol /= np.maximum(np.maximum(np.abs(lv), np.einsum("kpm,km->kp", np.abs(Rv), np.abs(Yv) + np.abs(Xv))), 1.0)
-        bad = ~(viol <= FEAS_TOL).all(axis=1) | (key[pick] == np.inf)
-        if bad.any():
-            worst = float(viol[bad].max())
+        bad = ~np.logical_and.reduce(viol <= FEAS_TOL, axis=1) | (key[pick] == np.inf)
+        if np.logical_or.reduce(bad):
+            worst = float(np.maximum.reduce(viol[bad], axis=None))
             raise ProjectionError(f"certificate missed: membership by {worst:.3e}, scaled, or no dual-feasible face",
                                   membership_violation=worst, rows=rows[bad])
     return Xv

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from netalloc import (
+    DivergenceError,
     GaussianNoise,
     GraphModel,
     NoiseConfig,
     PathStream,
+    ProblemSpec,
     ProjectionError,
     SampledQuadraticNoise,
     StepSchedule,
@@ -21,10 +23,11 @@ from netalloc import (
     run_path,
     sample_graph,
 )
-from netalloc import engine, problem as problem_mod
-from netalloc.engine import PathDraws, draw_step_noise, received_noise
+from netalloc import engine, problem as problem_mod, projection
+from netalloc.engine import (NetworkState, PathDraws, draw_step_noise, initial_state, iterate, mean_laplacian,
+                             received_noise)
 from netalloc.network import sample_graphs
-from netalloc.projection import project_polyhedron_batch
+from netalloc.projection import face_table, project_polyhedron_batch
 from netalloc.streams import GRAPH
 
 RING6 = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
@@ -194,21 +197,123 @@ def test_path_diverging_mid_block_leaves_the_others_alone():
         np.testing.assert_array_equal(trace.state_norm, solo.trace.state_norm)
 
 
+@pytest.mark.parametrize("block,value,set_kind", [("Z", np.nan, "box"), ("Lam", np.inf, "box"),
+                                                   ("X", np.nan, "polyhedron")])
+def test_a_non_finite_block_ends_only_its_path(block, value, set_kind):
+    """The guard is one sum of squares over a path's three blocks.  Before
+    step 7, a NaN or inf is put into one block of path 1 of a 3-path gossip
+    batch, at an agent that step's edge leaves out, so that a NaN in Z or an
+    inf in Lam stays in that block alone; a NaN allocation row passes the
+    projection as NaN rather than failing its certificate.  The path ends
+    with DivergenceError at counter 8, and paths 0 and 2 finish bit for bit
+    as alone."""
+    problem = random_instance(6, 6, 2, set_kind=set_kind)
+    model = GraphModel.gossip(6)
+    noise, schedule = NOISES["gaussian"], StepSchedule.power(1.0, 0.6)
+    mean_L = mean_laplacian(model)
+    seeds = [21, 22, 23]
+    start = NetworkState.stack(initial_state(problem), 3)
+    draws = PathDraws(problem, model, noise, seeds, 30)
+
+    def inputs(state):
+        step = draws(state)
+        if state.k == 7:
+            path, dst, src, _ = step.lap
+            idle = np.setdiff1d(np.arange(6), np.concatenate((dst[path == 1], src[path == 1])))[0]
+            getattr(state, block)[1, idle, 1] = value
+        return step
+
+    with np.errstate(invalid="ignore"):
+        runs = iterate(start, problem, schedule, 30, inputs, mean_L, cadence=3)
+    assert isinstance(runs[1].error, DivergenceError) and runs[1].iteration == 8
+    assert runs[1].error.iteration == 8 and not np.isfinite(runs[1].error.norm)
+    for p in (0, 2):
+        alone = iterate(start.take([p]), problem, schedule, 30, PathDraws(problem, model, noise, [seeds[p]], 30),
+                        mean_L, cadence=3)[0]
+        assert runs[p].error is None and runs[p].rows == alone.rows
+        for name in ("X", "Lam", "Z"):
+            np.testing.assert_array_equal(getattr(runs[p].final, name), getattr(alone.final, name))
+
+
+# ---------------------------------------------------------------------------
+# rows already inside, fresh results
+
+
+def test_rows_inside_keep_their_bits_and_skip_the_table(monkeypatch):
+    """Every row goes through the stage; a row already inside comes out with
+    its input bits, signed zeros included, next to a violating row that the
+    table projects, and only that row reaches the table."""
+    R = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    l = np.array([0.0, 0.0, 2.0, 2.0])
+    Y = np.array([[-0.0, -0.0], [-0.5, -0.0], [1.0, -0.5], [-1.25, 0.5]])
+    Rs, ls = np.stack([R] * 4), np.stack([l] * 4)
+    table_rows = []
+    real = projection._table_faces
+
+    def counted(Sv, Yv, Rv, lv, rows, *rest):
+        table_rows.append(rows.tolist())
+        return real(Sv, Yv, Rv, lv, rows, *rest)
+
+    monkeypatch.setattr(projection, "_table_faces", counted)
+    for stack in (Y, np.stack([Y, Y[::-1]])):
+        X = project_polyhedron_batch(stack, Rs, ls, face_table(Rs))
+        inside = ((np.einsum("npm,...nm->...np", Rs, stack) - ls) <= 0.0).all(axis=-1)
+        assert inside.sum() == 3 * len(stack.reshape(-1, 4, 2))
+        np.testing.assert_array_equal(X[inside].view(np.uint64), stack[inside].view(np.uint64))
+        np.testing.assert_allclose(X[~inside], [[0.0, -0.5]] * int((~inside).sum()), atol=1e-15)
+    assert table_rows == [[2], [2, 5]]
+
+
+def mixed_problem():
+    """Polyhedra, boxes and an unconstrained agent in one problem."""
+    poly = random_instance(1, 3, 2, set_kind="polyhedron").agents
+    box = random_instance(2, 2, 2, set_kind="box").agents
+    free = random_instance(3, 2, 2, set_kind="unconstrained").agents
+    return ProblemSpec([poly[0], box[0], poly[1], free[0], poly[2], box[1]])
+
+
+@pytest.mark.parametrize("make", [lambda: demand_response_instance(0)[0], mixed_problem,
+                                  lambda: random_instance(4, 5, 3, set_kind="box")],
+                         ids=["one_polyhedral_group", "mixed", "boxes"])
+def test_projections_return_fresh_arrays(make):
+    """project_all and project_paths never hand back or alias the caller's
+    array, whether every row is inside or some are moved."""
+    problem = make()
+    rng = np.random.default_rng(5)
+    inside = problem.project_all(rng.standard_normal((problem.n, problem.m)))
+    for Y in (inside, inside + 10.0 * rng.standard_normal(inside.shape)):
+        keep = Y.copy()
+        for out, arg in ((problem.project_all(Y), Y), (problem.project_paths(Y[None]), Y[None]),
+                         (problem.project_paths(np.stack([Y, keep])), None)):
+            assert out is not arg and not np.shares_memory(out, Y)
+            out[...] = np.nan
+            np.testing.assert_array_equal(Y, keep)
+
+
 # ---------------------------------------------------------------------------
 # per-path failures and fan-out
 
 
-def test_projection_error_lists_its_rows(dr):
+def test_projection_error_lists_its_rows(dr, monkeypatch):
     """A failed certificate names its rows: flat p * n + i in a stack, and
-    the agent's row through project_paths."""
+    the agent's row through project_paths, whose one polyhedral group hands
+    the kernel the stack as it is."""
     problem, *_ = dr
     ((idxs, R, l, (maps, tid, codes)),) = problem._poly_groups
     Y = np.stack([[problem.agents[i].local_set.interior_point for i in idxs]] * 3)
     Y[1, 4] += 50.0
     Y[2, 0] += 50.0
+    broken = (np.zeros_like(maps), tid, codes)
     with pytest.raises(ProjectionError) as err:
-        project_polyhedron_batch(Y, R, l, (np.zeros_like(maps), tid, codes))
+        project_polyhedron_batch(Y, R, l, broken)
     np.testing.assert_array_equal(err.value.rows, [14, 20])
+    monkeypatch.setattr(problem, "_poly_groups", [(idxs, R, l, broken)])
+    with pytest.raises(ProjectionError) as err:
+        problem.project_paths(Y)
+    np.testing.assert_array_equal(err.value.rows, [14, 20])
+    with pytest.raises(ProjectionError) as err:
+        problem.project_all(Y[2])
+    np.testing.assert_array_equal(err.value.rows, [0])
 
 
 def test_one_failing_path_is_marked_and_the_others_finish(dr, monkeypatch):
