@@ -182,6 +182,7 @@ def cmd_validate(args):
             "check": "connectivity-in-mean", "passed": bool(report.passed),
             "detail": str(report),
             "s2": None if np.isnan(report.s2) else report.s2,
+            "method": report.method,
             "symmetry_defect": report.symmetry_defect,
         })
     except ConfigError as exc:

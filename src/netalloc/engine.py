@@ -13,7 +13,6 @@ stack, and every operation acts row by row or path by path, so each path's
 values come out bit for bit as when it runs alone.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -724,7 +723,9 @@ def monte_carlo(
     do not depend on its block, and the averaged trace is the arithmetic
     mean of the per-path metric curves, so the result is independent of
     execution order and of the `threads` knob.  Diverged paths, and paths
-    whose projection failed, are excluded from averages and listed.
+    whose projection failed, are excluded from averages and listed.  The
+    process pool (`concurrent.futures`) is imported only when more than one
+    block starts one, so importing netalloc does not load it.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -735,6 +736,8 @@ def monte_carlo(
     jobs = [(problem, model, noise, schedule, iterations, [seeds[p] for p in block], reference,
              cadence, None, watch) for block in np.array_split(np.arange(paths), min(threads, paths))]
     if len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = [res for block in pool.map(_mc_worker, jobs) for res in block]
     else:

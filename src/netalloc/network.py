@@ -310,7 +310,11 @@ def algebraic_connectivity(L) -> float:
 
 @dataclass
 class ValidationReport:
-    """Outcome of the connectivity-in-mean check on a graph model."""
+    """Outcome of the connectivity-in-mean check on a graph model.
+
+    `method` says how s2 was found: "exact" from an eigen-decomposition of
+    the mean Laplacian, "closed form" where the model's spectrum is known
+    (gossip)."""
 
     symmetry_defect: float
     s2: float
@@ -327,16 +331,26 @@ class ValidationReport:
 
 def validate_model(model: GraphModel) -> ValidationReport:
     """Check that the exact mean Laplacian is symmetric with s2 > 1e-8; the
-    report is computed once per model."""
+    report is computed once per model.
+
+    Gossip's mean Laplacian (n I - 1 1')/C(n, 2) is symmetric with s2 =
+    n/C(n, 2) = 2/(n - 1), so a gossip model is validated in closed form,
+    without building or factoring an n x n matrix.  Pools and broadcast
+    factor their dense mean Laplacian."""
     if model._report is None:
-        Lbar = mean_laplacian(model)
-        defect = float(np.abs(Lbar - Lbar.T).max())
-        if defect < 1e-8:
-            s2 = float(np.linalg.eigvalsh(0.5 * (Lbar + Lbar.T))[1])
+        method = "exact"
+        if model.kind == "gossip":
+            defect, s2, method = 0.0, 2.0 / (model.n - 1), "closed form"
         else:
-            s2 = float("nan")
+            Lbar = mean_laplacian(model)
+            defect = float(np.abs(Lbar - Lbar.T).max())
+            if defect < 1e-8:
+                s2 = float(np.linalg.eigvalsh(0.5 * (Lbar + Lbar.T))[1])
+            else:
+                s2 = float("nan")
         passed = defect < 1e-8 and s2 > 1e-8
-        model._report = ValidationReport(symmetry_defect=defect, s2=s2, passed=passed)
+        model._report = ValidationReport(symmetry_defect=defect, s2=s2, passed=passed,
+                                         method=method)
     return model._report
 
 

@@ -27,8 +27,9 @@ STALL_RETRIES = 2
 def inner_min(agent: AgentSpec, lam, tol=INNER_TOL, x0=None):
     """argmin over the agent's set of f(x) - lam.x via projected gradient.
 
-    Steps 1/L with L the gradient Lipschitz constant; stops when the
-    fixed-point residual of the projected-gradient map drops below tol.
+    Steps 1/L with L the objective's stored gradient Lipschitz constant;
+    stops when the fixed-point residual of the projected-gradient map drops
+    below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -48,9 +49,9 @@ def inner_min(agent: AgentSpec, lam, tol=INNER_TOL, x0=None):
     )
 
 
-def _inner_min_all(problem: ProblemSpec, lam, X0, tol, cap=200_000):
-    """Batched projected-gradient inner minimization, warm-started at X0."""
-    steps = np.array([1.0 / a.objective.lipschitz() for a in problem.agents])[:, None]
+def _inner_min_all(problem: ProblemSpec, lam, X0, tol, steps, cap=200_000):
+    """Batched projected-gradient inner minimization, warm-started at X0,
+    with per-agent step sizes `steps`, the (n, 1) column of 1/L_i."""
     X = X0
     for it in range(cap):
         Xn = problem.project_all(X - steps * (problem.grad_all(X) - lam[None, :]))
@@ -152,11 +153,15 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
     inner-solve noise summed over agents can hide a dual increase: the inner
     tolerance is then tightened, x(lam) re-solved and `a` restored, at most
     STALL_RETRIES times.  Terminates when the balance residual drops below
-    tol; the returned solution carries a KKT report.
+    tol; the returned solution carries a KKT report.  The per-agent inner
+    steps 1/L_i are built once, from the objectives' stored Lipschitz
+    constants, so the solve factors no matrix; a custom objective without a
+    Lipschitz hint raises ValueError.
     """
+    steps = np.array([1.0 / a.objective.lipschitz() for a in problem.agents])[:, None]
     lam = np.zeros(problem.m)
     X, _ = _inner_min_all(problem, lam, problem.project_all(np.zeros((problem.n, problem.m))),
-                          tol=1e-8)
+                          1e-8, steps)
     g = dual_value(problem, lam, X)
     total_d = problem.resource_total()
     a, streak, retries = 1.0, 0, 0
@@ -174,7 +179,7 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
         for _ in range(60):
             step = a / (t + 1.0) ** 0.6
             lam2 = lam + step * direction
-            X2, _ = _inner_min_all(problem, lam2, X, tol=itol)
+            X2, _ = _inner_min_all(problem, lam2, X, itol, steps)
             g2 = dual_value(problem, lam2, X2)
             res2 = float(np.linalg.norm(total_d - X2.sum(axis=0)))
             tie = 1e-13 * (1.0 + abs(g))
@@ -188,7 +193,7 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
                 break
             retries += 1
             a = a0
-            X, _ = _inner_min_all(problem, lam, X, tol=itol * STALL_TIGHTEN)
+            X, _ = _inner_min_all(problem, lam, X, itol * STALL_TIGHTEN, steps)
             g = dual_value(problem, lam, X)
             continue
         lam, X, g = lam2, X2, g2
@@ -198,7 +203,7 @@ def solve_dual(problem: ProblemSpec, tol=DUAL_TOL, max_iter=20_000) -> OracleSol
             streak = 0
 
     # tight final primal recovery at the converged multiplier
-    X, _ = _inner_min_all(problem, lam, X, tol=1e-11)
+    X, _ = _inner_min_all(problem, lam, X, 1e-11, steps)
     res = float(np.linalg.norm(total_d - X.sum(axis=0)))
     if not converged and res >= tol:
         raise ConvergenceError(

@@ -32,7 +32,9 @@ class ObjectiveSpec:
     `quadratic` objectives are f(x) = x'Qx + c'x with Q symmetric positive
     definite, so the gradient 2Qx + c is globally Lipschitz with constant
     2*eigmax(Q).  `custom` objectives supply a gradient callable (and
-    optionally a value callable) plus a Lipschitz hint.
+    optionally a value callable) plus a Lipschitz hint.  The constant is
+    computed once and kept: `quadratic` keeps the one its positive-definite
+    check finds.
     """
 
     kind: str
@@ -41,6 +43,7 @@ class ObjectiveSpec:
     grad_fn: Optional[Callable] = None
     value_fn: Optional[Callable] = None
     lipschitz_hint: Optional[float] = None
+    _lipschitz: Optional[float] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def quadratic(cls, Q, c, lipschitz_hint=None):
@@ -59,7 +62,9 @@ class ObjectiveSpec:
             raise ValueError(
                 f"gradient Lipschitz constant {lip:.6g} exceeds hint {lipschitz_hint:.6g}"
             )
-        return cls(kind="quadratic", Q=Q, c=c, lipschitz_hint=lipschitz_hint)
+        obj = cls(kind="quadratic", Q=Q, c=c, lipschitz_hint=lipschitz_hint)
+        obj._lipschitz = lip
+        return obj
 
     @classmethod
     def custom(cls, grad_fn, value_fn=None, lipschitz_hint=None):
@@ -72,12 +77,18 @@ class ObjectiveSpec:
         return None if self.kind == "custom" else self.Q.shape[0]
 
     def lipschitz(self):
-        """Gradient Lipschitz constant (exact for quadratics, hint otherwise)."""
-        if self.kind == "quadratic":
-            return 2.0 * float(np.linalg.eigvalsh(self.Q)[-1])
-        if self.lipschitz_hint is None:
-            raise ValueError("custom objective without a Lipschitz hint")
-        return float(self.lipschitz_hint)
+        """Gradient Lipschitz constant: 2*eigmax(Q) for quadratics, the hint
+        otherwise.  It is kept once known (`quadratic` stores it when built),
+        so calls factor nothing; a custom objective without a hint raises
+        ValueError here, not at construction."""
+        if self._lipschitz is None:
+            if self.kind == "quadratic":
+                self._lipschitz = 2.0 * float(np.linalg.eigvalsh(self.Q)[-1])
+            elif self.lipschitz_hint is None:
+                raise ValueError("custom objective without a Lipschitz hint")
+            else:
+                self._lipschitz = float(self.lipschitz_hint)
+        return self._lipschitz
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,6 +1,8 @@
 """Block draws and path batches: one K-step draw equals K single-step draws
 for every channel kind, and a path's values do not depend on its batch."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -369,7 +371,8 @@ def test_monte_carlo_hands_the_pool_one_job_per_block(dr, monkeypatch):
             jobs.extend(items)
             return map(fn, items)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    # monte_carlo imports the pool when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     mc = monte_carlo(problem, model, noise, schedule, 30, paths=6, master_seed=1, threads=2)
     assert len(jobs) == 2
     assert [job[5] for job in jobs] == [mc.path_seeds[:3], mc.path_seeds[3:]]

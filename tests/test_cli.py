@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from netalloc.cli import main
 
@@ -37,6 +38,20 @@ def test_validate_passes_on_reference_settings(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS connectivity-in-mean" in out
+
+
+@pytest.mark.parametrize("graph, method", [
+    (None, "exact"),
+    ({"kind": "gossip", "n": 10}, "closed form"),
+])
+def test_validate_json_names_how_s2_was_found(tmp_path, graph, method):
+    cfg = base_config()
+    if graph is not None:
+        cfg["graph"] = graph
+    assert main(["validate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "v")]) == 0
+    doc = json.loads((tmp_path / "v" / "validate.json").read_text())
+    (check,) = [c for c in doc["checks"] if c["check"] == "connectivity-in-mean"]
+    assert check["method"] == method and check["s2"] > 0
 
 
 def test_validate_fails_on_disconnected_pool(tmp_path, capsys):

@@ -414,12 +414,29 @@ def test_run_path_validates_each_model_once(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     problem = tiny_problem(4, 2, kind="box", seed=21)
-    model = GraphModel.gossip(4)
+    model = ring_model(4)  # a pool factors its mean Laplacian; gossip is validated in closed form
     schedule = StepSchedule.power(1.0, 0.6)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     run_path(problem, model, NoiseConfig.noiseless(), schedule, 20, seed=1)
     run_path(problem, model, NoiseConfig.noiseless(), schedule, 20, seed=2)
     assert calls == [(4, 4)]
+
+
+def test_importing_netalloc_leaves_the_process_pool_unloaded():
+    """The process pool is imported only when `monte_carlo` starts one."""
+    import os
+    import subprocess
+    import sys
+
+    import netalloc
+
+    src = os.path.dirname(os.path.dirname(netalloc.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, netalloc; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -309,6 +309,39 @@ def test_validate_gossip_passes():
     assert report.s2 == pytest.approx(4.0 / 6.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 50, 400])
+def test_gossip_validation_in_closed_form_matches_the_dense_spectrum(n):
+    report = validate_model(GraphModel.gossip(n))
+    dense = algebraic_connectivity(mean_laplacian(GraphModel.gossip(n)))
+    assert report.s2 == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert report.symmetry_defect == 0.0
+    assert report.passed and report.method == "closed form"
+
+
+def test_gossip_validation_at_ten_thousand_agents_builds_no_matrix(monkeypatch):
+    import tracemalloc
+    from time import perf_counter
+
+    from netalloc import network
+
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append("eigvalsh"))
+    monkeypatch.setattr(network, "_mean_laplacian", lambda model: calls.append("mean_laplacian"))
+    model = GraphModel.gossip(10_000)
+    tracemalloc.start()
+    try:
+        report = validate_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and model._mean_L is None
+    assert report.passed and report.s2 == 2.0 / 9_999
+    assert peak <= 2**20
+    start = perf_counter()
+    validate_model(GraphModel.gossip(10_000))
+    assert perf_counter() - start <= 0.01
+
+
 def test_validate_directed_pool_with_symmetric_mean():
     up = np.array([[0.0, 1.0], [0.0, 0.0]])
     down = up.T

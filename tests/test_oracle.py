@@ -4,13 +4,22 @@ import pytest
 from netalloc import (
     AgentSpec,
     ConvergenceError,
+    GraphModel,
     LocalSet,
+    NoiseConfig,
     ObjectiveSpec,
     ProblemSpec,
+    StepSchedule,
     brute_force_tiny,
+    build_graph_pool,
+    demand_response_instance,
+    flow,
+    initial_state,
     inner_min,
     kkt_check,
+    mean_laplacian,
     random_instance,
+    run_path,
     solve_dual,
 )
 
@@ -192,3 +201,65 @@ def test_brute_force_agrees_with_dual_on_random_tiny_instances():
         assert np.abs(sol.X_star - ref.X_star).max() < 2e-3
         hits += 1
     assert hits == 20
+
+
+# ---------------------------------------------------------------------------
+# set-up cost: the Lipschitz constants are computed once, when an objective is built
+
+
+def count_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to record the shape of every matrix it factors."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_stored_lipschitz_constants_are_exact():
+    for problem in (random_instance(0, 40, 3, "box"), demand_response_instance(0)[0]):
+        for a in problem.agents:
+            assert a.objective.lipschitz() == 2 * np.linalg.eigvalsh(a.objective.Q)[-1]
+
+
+@pytest.mark.parametrize("setting", ["box40", "demand_response"])
+def test_solve_dual_factors_no_matrix(setting, monkeypatch):
+    if setting == "box40":
+        problem, tol = random_instance(0, 40, 3, "box"), 1e-8
+    else:
+        problem, tol = demand_response_instance(0)[0], 1e-9
+    calls = count_eigvalsh(monkeypatch)
+    assert solve_dual(problem, tol=tol).kkt.passed
+    assert calls == []
+
+
+def test_flow_factors_no_matrix(monkeypatch):
+    problem, _ = demand_response_instance(0)
+    model, _ = build_graph_pool(seed=12)
+    mean_L = mean_laplacian(model)
+    calls = count_eigvalsh(monkeypatch)
+    flow(initial_state(problem), problem, mean_L, 1e-3, 20)
+    assert calls == []
+
+
+def hintless_problem():
+    """Two scalar agents, the first with a custom objective and no Lipschitz hint."""
+    custom = ObjectiveSpec.custom(lambda x: 2.0 * x, value_fn=lambda x: float(x @ x))
+    agents = [AgentSpec(custom, LocalSet.box([-1.0], [1.0]), [0.2]),
+              scalar_agent(1.0, 0.0, LocalSet.unconstrained(1), 0.1)]
+    return ProblemSpec(agents)
+
+
+def test_hintless_custom_objective_builds_and_runs_but_has_no_constant():
+    problem = hintless_problem()
+    model = GraphModel.fixed_pool([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    res = run_path(problem, model, NoiseConfig.noiseless(), StepSchedule.power(1.0, 0.6), 20, seed=1)
+    assert np.isfinite(res.final_state.X).all()
+    with pytest.raises(ValueError, match="custom objective without a Lipschitz hint"):
+        solve_dual(problem)
+    with pytest.raises(ValueError, match="custom objective without a Lipschitz hint"):
+        flow(initial_state(problem), problem, mean_laplacian(model), 1e-3, 5)
