@@ -22,7 +22,6 @@ from .engine import (
     initial_state,
     monte_carlo,
     run_path,
-    sa_step,
     step_size,
 )
 from .errors import (

@@ -43,8 +43,8 @@ def load_config(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
@@ -317,8 +317,11 @@ def cmd_report(args):
                 traces.append(read_csv(os.path.join(paths_dir, name)))
         if not traces:
             raise ConfigError(f"no stored path traces under {paths_dir}")
+        finals_path = os.path.join(out, "finals.json")
+        if not os.path.isfile(finals_path):
+            raise ConfigError(f"stored path traces but no {finals_path}")
         write_csv(mean_trace(traces), os.path.join(out, "trace_mean.csv"))
-        with open(os.path.join(out, "finals.json")) as fh:
+        with open(finals_path) as fh:
             finals_doc = json.load(fh)
         finals, diverged = finals_doc["finals"], len(finals_doc["diverged"])
         failed = len(finals_doc.get("failed", []))  # absent from directories written before failures were listed

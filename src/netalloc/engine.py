@@ -10,7 +10,10 @@ update lines.
 
 Paths step as a batch: the states of a worker's P paths are one (P, n, m)
 stack, and every operation acts row by row or path by path, so each path's
-values come out bit for bit as when it runs alone.
+values come out bit for bit as when it runs alone.  Graphs and noise are
+drawn a block of K steps per call (`sample_graphs`, `draw_block_noise`);
+the single-step `sample_graph` and `draw_step_noise` are those draws for
+one step.
 """
 
 from dataclasses import dataclass, field
@@ -221,41 +224,58 @@ class StepNoise:
 
     nu: Optional[np.ndarray] = None       # (n, m) gradient noise
     delta: Optional[np.ndarray] = None    # (n, m) resource noise
-    zeta: Optional[np.ndarray] = None     # multiplier channel noise: (E, m) per edge or (n, n, m)
-    eps: Optional[np.ndarray] = None      # auxiliary channel noise, shaped like zeta
-
-
-def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStream,
-                    graph: Optional[GraphSample] = None) -> StepNoise:
-    """Draw one step's noise from the per-channel streams.
-
-    The channel noises zeta and eps are drawn as (E, m), one row per edge of
-    `graph` in its edge order (stream version 2), or as all-pairs (n, n, m)
-    arrays, indexed [receiver, sender], when no graph is given.
-    """
-    n, m = problem.n, problem.m
-    links = (n, n, m) if graph is None else (graph.dst.size, m)
-    draws = StepNoise()
-    g = noise.gradient
-    if isinstance(g, GaussianNoise):
-        draws.nu = g.sigma * stream.channel(GRADIENT).standard_normal((n, m))
-    elif isinstance(g, SampledQuadraticNoise):
-        gen = stream.channel(GRADIENT)
-        psi = g.sigma_psi * gen.standard_normal((n, m, m))
-        theta = g.sigma_theta * gen.standard_normal((n, m))
-        draws.nu = 2.0 * np.einsum("nij,nj->ni", psi, X) + theta
-    if noise.resource is not None:
-        draws.delta = noise.resource.sigma * stream.channel(RESOURCE).standard_normal((n, m))
-    if noise.channel_lambda is not None:
-        draws.zeta = noise.channel_lambda.sigma * stream.channel(CHANNEL_LAMBDA).standard_normal(
-            links)
-    if noise.channel_z is not None:
-        draws.eps = noise.channel_z.sigma * stream.channel(CHANNEL_Z).standard_normal(links)
-    return draws
+    zeta: Optional[np.ndarray] = None     # (E, m) multiplier channel noise, one row per edge
+    eps: Optional[np.ndarray] = None      # (E, m) auxiliary channel noise
 
 
 # ---------------------------------------------------------------------------
 # block draws
+
+
+def draw_block_noise(noise: NoiseConfig, problem: ProblemSpec, streams, K, edges):
+    """K steps of noise for each path's stream, in the order and amount K
+    single steps take: (nu, psi, theta, delta, zeta, eps), None for a
+    disabled channel.  The gradient noise nu, or the sampled quadratic's psi
+    and theta, and the resource noise delta are (P, K, ...), path by path;
+    the channel noises zeta and eps are (E, m), one row per edge of the
+    block's graphs in their edge order: path p's `edges[p]` rows after those
+    of the paths before it."""
+    n, m, P = problem.n, problem.m, len(streams)
+
+    def normals(channel, shape, sigma):
+        out = np.empty((P, K) + shape)
+        for s, o in zip(streams, out):
+            s.channel(channel).standard_normal((K,) + shape, out=o)
+        out *= sigma
+        return out
+
+    g = noise.gradient
+    nu = psi = theta = delta = None
+    if isinstance(g, GaussianNoise):
+        nu = normals(GRADIENT, (n, m), g.sigma)
+    elif isinstance(g, SampledQuadraticNoise):
+        # per step: psi (n, m, m), then theta (n, m)
+        both = normals(GRADIENT, (n * m * m + n * m,), 1.0)
+        psi = g.sigma_psi * both[..., :n * m * m].reshape(P, K, n, m, m)
+        theta = g.sigma_theta * both[..., n * m * m:].reshape(P, K, n, m)
+    if noise.resource is not None:
+        delta = normals(RESOURCE, (n, m), noise.resource.sigma)
+    zeta, eps = (None if ch is None else np.concatenate(
+        [ch.sigma * s.channel(c).standard_normal((e, m)) for s, e in zip(streams, edges)])
+        for c, ch in ((CHANNEL_LAMBDA, noise.channel_lambda), (CHANNEL_Z, noise.channel_z)))
+    return nu, psi, theta, delta, zeta, eps
+
+
+def draw_step_noise(noise: NoiseConfig, problem: ProblemSpec, X, stream: PathStream,
+                    graph: GraphSample) -> StepNoise:
+    """`draw_block_noise` for one path and one step on `graph`'s edges; a
+    sampled quadratic's nu is taken at X."""
+    nu, psi, theta, delta, zeta, eps = draw_block_noise(noise, problem, [stream], 1, [graph.dst.size])
+    if psi is not None:
+        nu = 2.0 * np.einsum("nij,nj->ni", psi[0, 0], X) + theta[0, 0]
+    elif nu is not None:
+        nu = nu[0, 0]
+    return StepNoise(nu=nu, delta=None if delta is None else delta[0, 0], zeta=zeta, eps=eps)
 
 
 def block_steps(problem: ProblemSpec, model: GraphModel, paths: int) -> int:
@@ -274,13 +294,13 @@ class PathDraws:
     """The step inputs of a batch of sample paths, drawn a block ahead.
 
     Each path keeps its own PathStream.  Once per block of K steps each
-    channel of each path is drawn in one call: the graphs first, then the
-    noise on the block's edges, in the order and amount K single-step draws
-    (`sample_graph`, `draw_step_noise`) would take.  The block's received
-    channel noise is one `GraphSample.scatter` over the block's edges, with
-    receivers offset by path and step; it adds in input order, so every sum
-    is the per-step scatter's.  Calling the object returns the next step's
-    StepInputs for all P paths.
+    channel of each path is drawn in one call: the graphs first
+    (`sample_graphs`), then the noise on the block's edges
+    (`draw_block_noise`), in the order and amount K single steps take.  The
+    block's received channel noise is one `GraphSample.scatter` over the
+    block's edges, with receivers offset by path and step; it adds in input
+    order, so every sum is the per-step scatter's.  Calling the object
+    returns the next step's StepInputs for all P paths.
     """
 
     def __init__(self, problem, model, noise, seeds, iterations):
@@ -303,35 +323,15 @@ class PathDraws:
         """Draw the next K steps; arrays are (P, K, ...), path by path."""
         self.left -= K
         self.j, self.size = 0, K
-        n, m, P, noise, streams = self.problem.n, self.problem.m, len(self.streams), self.noise, self.streams
-        graphs = [sample_graphs(self.model, s.channel(GRAPH), K) for s in streams]
-
-        def normals(channel, shape, sigma):
-            out = np.empty((P, K) + shape)
-            for s, o in zip(streams, out):
-                s.channel(channel).standard_normal((K,) + shape, out=o)
-            out *= sigma
-            return out
-
-        g = noise.gradient
-        self.nu = self.psi = self.theta = self.delta = None
-        if isinstance(g, GaussianNoise):
-            self.nu = normals(GRADIENT, (n, m), g.sigma)
-        elif isinstance(g, SampledQuadraticNoise):
-            # per step: psi (n, m, m), then theta (n, m)
-            both = normals(GRADIENT, (n * m * m + n * m,), 1.0)
-            self.psi = g.sigma_psi * both[..., :n * m * m].reshape(P, K, n, m, m)
-            self.theta = g.sigma_theta * both[..., n * m * m:].reshape(P, K, n, m)
-        if noise.resource is not None:
-            self.delta = normals(RESOURCE, (n, m), noise.resource.sigma)
+        n, m, P = self.problem.n, self.problem.m, len(self.streams)
+        graphs = [sample_graphs(self.model, s.channel(GRAPH), K) for s in self.streams]
+        self.nu, self.psi, self.theta, self.delta, zeta, eps = draw_block_noise(
+            self.noise, self.problem, self.streams, K, [gr.dst.size for gr in graphs])
 
         steps = [np.repeat(np.arange(K), np.diff(gr.start)) for gr in graphs]
         dst, src, w = (np.concatenate([getattr(gr, f) for gr in graphs]) for f in ("dst", "src", "w"))
         # the block's edges as one graph, receiver i of step k of path p as node (p * K + k) * n + i
         off = np.concatenate([(p * K + k) * n for p, k in enumerate(steps)])
-        zeta, eps = (None if ch is None else np.concatenate(
-            [ch.sigma * s.channel(c).standard_normal((gr.dst.size, m)) for s, gr in zip(streams, graphs)])
-            for c, ch in ((CHANNEL_LAMBDA, noise.channel_lambda), (CHANNEL_Z, noise.channel_z)))
         sums = GraphSample(P * K * n, off + dst, off + src, w).scatter(zeta, eps)
         self.zrow, self.erow = (r if v is None else r.reshape(P, K, n, m) for v, r in zip((zeta, eps), sums))
 
@@ -385,19 +385,6 @@ class StepInputs:
             lap = lap[paths]
         return StepInputs(lap, *(sub(a) for a in (self.nu, self.psi, self.theta, self.delta,
                                                    self.zrow, self.erow)))
-
-
-def edge_noise(graph: GraphSample, draws: StepNoise):
-    """The channel draws (zeta, eps) on the graph's edges, (E, m) each; an
-    all-pairs draw is gathered as zeta[dst, src], None stays None."""
-    return tuple(d[graph.dst, graph.src] if d is not None and d.ndim == 3 else d
-                 for d in (draws.zeta, draws.eps))
-
-
-def received_noise(graph: GraphSample, draws: StepNoise):
-    """Received multiplier and auxiliary channel noise, each summed over
-    in-neighbors: (zrow, erow), 0.0 for a disabled channel."""
-    return graph.scatter(*edge_noise(graph, draws))
 
 
 def step_batch(state: NetworkState, problem: ProblemSpec, inputs: StepInputs,
@@ -456,22 +443,9 @@ def apply_step(
     """One synchronous round from the time-k state with given noise draws:
     `step_batch` on a batch of one, over the graph's edges."""
     lap = (np.zeros(graph.dst.size, dtype=int), graph.dst, graph.src, graph.w)
-    zrow, erow = received_noise(graph, draws)
+    zrow, erow = graph.scatter(draws.zeta, draws.eps)
     inputs = StepInputs(lap, nu=draws.nu, delta=draws.delta, zrow=zrow, erow=erow)
     return step_batch(NetworkState.stack(state, 1), problem, inputs, alpha).path(0)
-
-
-def sa_step(
-    state: NetworkState,
-    problem: ProblemSpec,
-    graph: GraphSample,
-    noise: NoiseConfig,
-    alpha: float,
-    stream: PathStream,
-) -> NetworkState:
-    """Draw this step's noise on the graph's edges and apply the recursion."""
-    draws = draw_step_noise(noise, problem, state.X, stream, graph)
-    return apply_step(state, problem, graph, draws, alpha)
 
 
 def aggregate_noise(
@@ -490,7 +464,7 @@ def aggregate_noise(
     """
     Lam, Z = state.Lam, state.Z
     dL = mean_L - graph.laplacian
-    zrow, erow = received_noise(graph, draws)
+    zrow, erow = graph.scatter(draws.zeta, draws.eps)
     delta = draws.delta if draws.delta is not None else 0.0
     nu = draws.nu if draws.nu is not None else np.zeros_like(Lam)
     e1 = dL @ (Lam + Z)

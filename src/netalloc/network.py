@@ -7,7 +7,9 @@ accepted for diagnostics (e.g. stepping the recursion with the mean graph).
 A drawn graph is only its directed edges, so a gossip or broadcast step
 touches its own links only and never builds an n x n matrix.  Dense
 Laplacians exist only where a step multiplies them: a pool's member stack
-`GraphModel.laplacians` and the mean Laplacian.
+`GraphModel.laplacians` and the mean Laplacian.  Graphs are drawn a block
+of steps per call by `sample_graphs`; `sample_graph` is that draw for one
+step.
 """
 
 from dataclasses import dataclass, field
@@ -168,33 +170,10 @@ class GraphModel:
         return cls(kind="broadcast", n=base.shape[0], base=base)
 
 
-def sample_graph(model: GraphModel, rng) -> GraphSample:
-    """One i.i.d. draw from the model, consuming `rng` deterministically.
-
-    Edge order: a pool member's adjacency in row-major order; for gossip on
-    the pair (i, j), i hears j and then j hears i; for broadcast from node
-    v, v's neighbors in increasing order hear v.
-    """
-    n = model.n
-    if model.pooled:
-        return GraphSample.from_adjacency(model.graphs[int(rng.integers(0, len(model.graphs)))])
-    if model.kind == "gossip":
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n - 1))
-        if j >= i:
-            j += 1
-        return GraphSample(n=n, dst=np.array([i, j]), src=np.array([j, i]), w=np.ones(2))
-    if model.kind == "broadcast":
-        v = int(rng.integers(0, n))
-        dst = np.flatnonzero(model.base[v])
-        return GraphSample(n=n, dst=dst, src=np.full(dst.size, v), w=model.base[v, dst])
-    raise ValueError(f"unknown model kind {model.kind!r}")
-
-
 @dataclass
 class GraphDraws:
     """Consecutive graph draws of one path: step k's edges are
-    dst/src/w[start[k]:start[k + 1]] in `sample_graph`'s edge order, and
+    dst/src/w[start[k]:start[k + 1]] in `sample_graphs`' edge order, and
     ids[k] is the pool member (or broadcasting node) drawn, None for gossip."""
 
     ids: Optional[np.ndarray]
@@ -227,9 +206,14 @@ def max_edges(model: GraphModel) -> int:
 
 
 def sample_graphs(model: GraphModel, rng, steps) -> GraphDraws:
-    """`steps` consecutive draws of `sample_graph(model, rng)` in one call:
-    the same graphs, in the same edge order, from the same consumption of
-    `rng` (one integer per step, two for gossip)."""
+    """`steps` consecutive i.i.d. draws from the model, consuming `rng`
+    deterministically: one integer per step, two for gossip, so a call for
+    K steps leaves `rng` where K calls for one step leave it.
+
+    Edge order: a pool member's adjacency in row-major order; for gossip on
+    the pair (i, j), i hears j and then j hears i; for broadcast from node
+    v, v's neighbors in increasing order hear v.
+    """
     n = model.n
     if model.kind == "gossip":
         i, j = rng.integers(0, np.tile([n, n - 1], steps)).reshape(steps, 2).T
@@ -244,6 +228,12 @@ def sample_graphs(model: GraphModel, rng, steps) -> GraphDraws:
     begin = np.concatenate(([0], np.cumsum(counts)))
     take = np.repeat(start[ids] - begin[:-1], counts) + np.arange(begin[-1])
     return GraphDraws(ids, begin, dst[take], src[take], w[take])
+
+
+def sample_graph(model: GraphModel, rng) -> GraphSample:
+    """One draw from the model: the edges of `sample_graphs(model, rng, 1)`."""
+    g = sample_graphs(model, rng, 1)
+    return GraphSample(n=model.n, dst=g.dst, src=g.src, w=g.w)
 
 
 def mean_laplacian(model: GraphModel) -> np.ndarray:
@@ -272,7 +262,7 @@ def mean_laplacian_mc(model: GraphModel, draws=100_000, seed=0):
     """Monte Carlo estimate of the mean Laplacian with entrywise standard errors.
 
     The draws come in `sample_graphs` blocks whose edge arrays fit
-    BLOCK_BYTES, consuming `rng` as `draws` calls of `sample_graph` would,
+    BLOCK_BYTES, consuming `rng` as `draws` single draws would,
     and each draw's Laplacian is summed from its edges: -w at (dst, src) and
     its in-weights on the diagonal.  Memory is O(n^2 + BLOCK_BYTES).
     """

@@ -51,6 +51,8 @@ class ObjectiveSpec:
         c = np.asarray(c, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != (Q.shape[0],):
             raise ValueError("quadratic objective needs square Q and matching c")
+        if not (np.isfinite(Q).all() and np.isfinite(c).all()):
+            raise ValueError("quadratic objective needs finite Q and c")
         if np.abs(Q - Q.T).max() > 1e-9:
             raise ValueError("Q must be symmetric")
         Q = 0.5 * (Q + Q.T)
@@ -141,6 +143,9 @@ class LocalSet:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be matching vectors")
+        # -inf below or +inf above leaves a side open; a NaN fails both comparisons
+        if not ((lo < np.inf).all() and (hi > -np.inf).all()):
+            raise ValueError("box bounds must not be NaN, +inf below or -inf above")
         if (lo > hi).any():
             raise ValueError("box requires lo <= hi componentwise")
         return cls(kind="box", m=lo.size, lo=lo, hi=hi)
@@ -151,6 +156,8 @@ class LocalSet:
         l = np.asarray(l, dtype=float)
         if R.ndim != 2 or l.shape != (R.shape[0],):
             raise ValueError("polyhedron needs R (p x m) and l (p,)")
+        if not (np.isfinite(R).all() and np.isfinite(l).all()):
+            raise ValueError("polyhedron needs finite R and l")
         if not np.abs(R).max(axis=1).all():
             raise ValueError("polyhedron rows must be nonzero")
         check_table(1, *R.shape)
@@ -220,6 +227,8 @@ class AgentSpec:
         m = self.local_set.m
         if self.resource.shape != (m,):
             raise ValueError("resource dimension disagrees with the set")
+        if not np.isfinite(self.resource).all():
+            raise ValueError("resource must be finite")
         if self.objective.kind == "quadratic" and self.objective.m != m:
             raise ValueError("objective dimension disagrees with the set")
 

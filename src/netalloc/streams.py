@@ -6,20 +6,24 @@ one channel never disturbs the draws of another, and paths are independent
 work units regardless of execution order.
 
 STREAM_VERSION names how the channels are consumed, and manifests record
-it.  Version 1 drew the two channel noises all-pairs, as (n, n, m) arrays
-per step.  Version 2 draws one realization per active directed link of the
-step's graph, (E, m) per step, in the sample's edge order.  The graph,
-gradient and resource channels are consumed as in version 1.
+it.  Version 2 draws one realization of each channel noise per active
+directed link of the step's graph, (E, m) per step, in the sample's edge
+order.  Version 1 drew them all-pairs, as (n, n, m) arrays per step; the
+library no longer draws that layout.  The graph, gradient and resource
+channels are consumed as in version 1.
 
-The engine draws each channel K steps at a time (one call per block of
-steps) rather than step by step.  Philox is counter-based (Salmon et al.,
-SC 2011) and numpy fills a block in the order single draws would take, so
-a block of K steps yields the same values and leaves the generator where
-K single-step calls would: per step one integer for a pool member or a
-broadcasting node, two for a gossip pair; (n, m) normals for a Gaussian
-gradient or resource channel; n m^2 normals for psi, then n m for theta,
-for the sampled quadratic; (E_k, m) normals per channel noise.  That is
-why block drawing is still version 2; tests/test_batch.py pins each case.
+The engine draws each channel K steps at a time, one call per block of
+steps (`network.sample_graphs`, `engine.draw_block_noise`).  Philox is
+counter-based (Salmon et al., SC 2011) and numpy fills a block in the order
+single draws would take, so a block of K steps yields the same values and
+leaves the generator where K single steps would: per step one integer for
+a pool member or a broadcasting node, two for a gossip pair; (n, m)
+normals for a Gaussian gradient or resource channel; n m^2 normals for
+psi, then n m for theta, for the sampled quadratic; (E_k, m) normals per
+channel noise.  That is why block drawing is still version 2.  The
+single-step `sample_graph` and `draw_step_noise` are the block draws with
+K = 1; tests/test_batch.py pins each case against independent per-step
+references.
 """
 
 import numpy as np

@@ -28,12 +28,11 @@ from netalloc import (
     project,
     random_instance,
     run_path,
-    sa_step,
     solve_dual,
     brute_force_tiny,
     kkt_check,
 )
-from netalloc.engine import NetworkState, draw_step_noise
+from netalloc.engine import NetworkState, apply_step, draw_step_noise
 from netalloc.problem import LocalSet
 
 
@@ -172,8 +171,9 @@ def test_criterion_5_equilibrium_fixed_points(dr_setting, certified_instances):
         eq = equilibrium_construct(problem, mean_L, sol.X_star, sol.lambda_star)
         worst_residual = max(worst_residual, eq.residual)
         mean_graph = GraphSample.from_adjacency(np.diag(np.diag(mean_L)) - mean_L)
-        nxt = sa_step(eq.state, problem, mean_graph, NoiseConfig.noiseless(),
-                      alpha=1e-3, stream=PathStream(0))
+        draws = draw_step_noise(NoiseConfig.noiseless(), problem, eq.state.X, PathStream(0),
+                                mean_graph)
+        nxt = apply_step(eq.state, problem, mean_graph, draws, alpha=1e-3)
         move = np.sqrt(
             np.linalg.norm(nxt.X - eq.state.X) ** 2
             + np.linalg.norm(nxt.Lam - eq.state.Lam) ** 2
@@ -225,13 +225,15 @@ def test_criterion_7_noise_moment_suite():
     ok = True
     details = []
 
-    # zero mean and second moments for the additive channels
+    # zero mean and second moments for the additive channels, drawn on the
+    # complete graph's n(n - 1) links: n * 100_000 channel draws each
+    complete = GraphSample.from_adjacency(np.ones((n, n)) - np.eye(n))
     stream = PathStream(3)
-    reps = 100_000 // (n * m)
+    reps = 100_000 // ((n - 1) * m)
     X0 = np.zeros((n, m))
     acc = {"delta": [], "zeta": [], "eps": []}
     for _ in range(reps):
-        d = draw_step_noise(noise, problem, X0, stream)
+        d = draw_step_noise(noise, problem, X0, stream, complete)
         acc["delta"].append(d.delta.ravel())
         acc["zeta"].append(d.zeta.ravel())
         acc["eps"].append(d.eps.ravel())
@@ -250,7 +252,7 @@ def test_criterion_7_noise_moment_suite():
         stream = PathStream(int(mag) + 11)
         sq = []
         for _ in range(100_000 // n):
-            d = draw_step_noise(noise, problem, X, stream)
+            d = draw_step_noise(noise, problem, X, stream, complete)
             sq.append((d.nu**2).sum(axis=1))
         emp = float(np.concatenate(sq).mean())
         env_ok = emp <= c * (1.0 + mag**2)

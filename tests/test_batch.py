@@ -23,14 +23,13 @@ from netalloc import (
     path_seed,
     random_instance,
     run_path,
-    sample_graph,
 )
-from netalloc import engine, problem as problem_mod, projection
-from netalloc.engine import (NetworkState, PathDraws, draw_step_noise, initial_state, iterate, mean_laplacian,
-                             received_noise)
+from netalloc import engine, network, problem as problem_mod, projection
+from netalloc.engine import NetworkState, PathDraws, initial_state, iterate, mean_laplacian
 from netalloc.network import sample_graphs
 from netalloc.projection import face_table, project_polyhedron_batch
 from netalloc.streams import GRAPH
+from reference import draw_step_noise, sample_graph
 
 RING6 = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
 
@@ -94,7 +93,7 @@ def test_block_noise_equals_single_step_draws(monkeypatch, model, noise):
                 assert (got is None) == (want is None)
                 if want is not None:
                     np.testing.assert_array_equal(got if got is nu else got[p], want)
-            for got, want in zip((step.zrow, step.erow), received_noise(graph, draws)):
+            for got, want in zip((step.zrow, step.erow), graph.scatter(draws.zeta, draws.eps)):
                 np.testing.assert_array_equal(got if np.isscalar(got) else got[p], want)
             if model.pooled:
                 np.testing.assert_array_equal(step.lap[p], graph.laplacian)
@@ -103,6 +102,32 @@ def test_block_noise_equals_single_step_draws(monkeypatch, model, noise):
                 mine = path == p
                 for got, want in ((dst, graph.dst), (src, graph.src), (w, graph.w)):
                     np.testing.assert_array_equal(got[mine], want)
+
+
+@pytest.mark.parametrize("noise", NOISES.values(), ids=list(NOISES))
+@pytest.mark.parametrize("model", graph_models(), ids=lambda m: f"{m.kind}-{m.n}")
+def test_single_step_draws_are_the_references(model, noise):
+    """The library's single-step `sample_graph` and `draw_step_noise`, the
+    block draws for one step, give the per-step references' arrays (values,
+    dtypes and shapes) and leave every stream where they leave it."""
+    problem = random_instance(3, model.n, 2, set_kind="box")
+    X = np.random.default_rng(1).standard_normal((model.n, 2))
+    mine, ref = PathStream(21), PathStream(21)
+    for _ in range(23):
+        g = network.sample_graph(model, mine.channel(GRAPH))
+        want_g = sample_graph(model, ref.channel(GRAPH))
+        d = engine.draw_step_noise(noise, problem, X, mine, g)
+        want_d = draw_step_noise(noise, problem, X, ref, want_g)
+        for got, want in ((g.dst, want_g.dst), (g.src, want_g.src), (g.w, want_g.w),
+                          (d.nu, want_d.nu), (d.delta, want_d.delta), (d.zeta, want_d.zeta),
+                          (d.eps, want_d.eps)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, strict=True)
+        assert g.n == want_g.n
+    for channel in range(6):
+        assert mine.channel(channel).integers(0, 2**62) == ref.channel(channel).integers(0, 2**62)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,34 @@ def test_validate_fails_on_indefinite_objective(tmp_path, capsys):
     assert "positive definite" in out
 
 
+def one_period_problem(Q0=1.0, d0=0.1):
+    cfg = base_config()
+    del cfg["instance_seed"]
+    cfg["problem"] = {
+        "n": 2, "m": 1,
+        "agents": [
+            {"Q": [Q0], "c": [0.0], "set": {"kind": "unconstrained", "m": 1}, "d": [d0]},
+            {"Q": [1.0], "c": [0.0], "set": {"kind": "unconstrained", "m": 1}, "d": [0.2]},
+        ],
+    }
+    return cfg
+
+
+@pytest.mark.parametrize("field", ["Q0", "d0"])
+def test_non_finite_problem_data_fails_certification(tmp_path, capsys, field):
+    """JSON reads NaN: a config holding one fails `validate`'s certification
+    (and `solve` exits 2 with a ConfigError) instead of passing into the oracle."""
+    cfg = write_config(tmp_path, one_period_problem(**{field: float("nan")}))
+    assert "NaN" in open(cfg).read()
+    assert main(["validate", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL objective-and-set-certification" in out
+    assert "coupled-feasibility" not in out
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ConfigError" and "finite" in doc["error"]["message"]
+
+
 def test_config_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -94,6 +122,15 @@ def test_config_parse_error_exits_2(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("config", ["absent.json", "."], ids=["missing-file", "directory"])
+def test_unreadable_config_is_a_json_config_error(tmp_path, capsys, config):
+    rc = main(["run", "--config", str(tmp_path / config), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert str(tmp_path / config) in doc["error"]["message"]
 
 
 def test_mc_with_zero_threads_exits_2(tmp_path, capsys):
@@ -213,3 +250,18 @@ def test_solve_writes_oracle_json(tmp_path):
 def test_report_on_unknown_dir_exits_2(tmp_path, capsys):
     os.makedirs(tmp_path / "empty")
     assert main(["report", "--out", str(tmp_path / "empty")]) == 2
+
+
+def test_report_without_finals_names_the_missing_file(tmp_path, capsys):
+    """Stored path traces without finals.json: a JSON ConfigError naming the
+    file, and nothing rewritten."""
+    cfg = write_config(tmp_path, base_config(reference="none", iterations=20, paths=2))
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    os.remove(tmp_path / "o" / "finals.json")
+    os.remove(tmp_path / "o" / "trace_mean.csv")
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "o")]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert str(tmp_path / "o" / "finals.json") in doc["error"]["message"]
+    assert not (tmp_path / "o" / "trace_mean.csv").exists()

@@ -19,7 +19,6 @@ from netalloc import (
     monte_carlo,
     path_seed,
     run_path,
-    sa_step,
     step_size,
 )
 from netalloc.engine import StepNoise, draw_step_noise
@@ -111,8 +110,9 @@ def test_one_step_matches_hand_computation():
     alpha = 0.25
     nu = np.array([[0.05], [-0.02]])
     delta = np.array([[0.01], [0.03]])
-    zeta = np.zeros((2, 2, 1)); zeta[0, 1, 0] = 0.07; zeta[1, 0, 0] = -0.04
-    eps = np.zeros((2, 2, 1)); eps[0, 1, 0] = -0.06; eps[1, 0, 0] = 0.02
+    # per edge, in the graph's order: 0 hears 1, then 1 hears 0
+    zeta = np.array([[0.07], [-0.04]])
+    eps = np.array([[-0.06], [0.02]])
     draws = StepNoise(nu=nu, delta=delta, zeta=zeta, eps=eps)
     nxt = apply_step(state, problem, graph, draws, alpha)
 
@@ -153,7 +153,8 @@ def test_shared_channel_noise_conservation():
     noise = NoiseConfig.noiseless()
     for k in range(200):
         alpha = step_size(StepSchedule.power(1.0, 0.6), k)
-        nxt = sa_step(state, problem, graph, noise, alpha, stream)
+        nxt = apply_step(state, problem, graph,
+                         draw_step_noise(noise, problem, state.X, stream, graph), alpha)
         assert np.abs(nxt.Z.sum(axis=0) - state.Z.sum(axis=0)).max() < 1e-12
         lhs = (nxt.Lam + nxt.Z).sum(axis=0) - (state.Lam + state.Z).sum(axis=0)
         rhs = alpha * (problem.D - state.X).sum(axis=0)
@@ -303,7 +304,8 @@ def test_watch_records_allocations():
 
 def test_disabled_channels_draw_nothing():
     problem = tiny_problem(2, 2, kind="box", seed=15)
-    draws = draw_step_noise(NoiseConfig.noiseless(), problem, problem.D, PathStream(0))
+    graph = GraphSample.from_adjacency(ring_model(2).graphs[0])
+    draws = draw_step_noise(NoiseConfig.noiseless(), problem, problem.D, PathStream(0), graph)
     assert draws.nu is None and draws.delta is None
     assert draws.zeta is None and draws.eps is None
 
@@ -314,45 +316,17 @@ def test_channel_independence():
     full = NoiseConfig(gradient=GaussianNoise(1.0), resource=GaussianNoise(1.0),
                        channel_lambda=GaussianNoise(1.0), channel_z=GaussianNoise(1.0))
     part = NoiseConfig(resource=GaussianNoise(1.0))
-    d1 = draw_step_noise(full, problem, problem.D, PathStream(42))
-    d2 = draw_step_noise(part, problem, problem.D, PathStream(42))
+    graph = GraphSample.from_adjacency(ring_model(2).graphs[0])
+    d1 = draw_step_noise(full, problem, problem.D, PathStream(42), graph)
+    d2 = draw_step_noise(part, problem, problem.D, PathStream(42), graph)
     np.testing.assert_array_equal(d1.delta, d2.delta)
-
-
-def test_all_pairs_draw_equals_its_edge_gather():
-    """apply_step fed an all-pairs (n, n, m) draw equals, bit for bit, apply_step
-    fed the same draw gathered on the graph's edges, on gossip, broadcast, pool
-    and mean-graph samples."""
-    from netalloc import mean_laplacian, random_instance, sample_graph
-
-    problem = random_instance(2, 6, 2, set_kind="box")
-    noise = NoiseConfig(gradient=GaussianNoise(1.0), resource=GaussianNoise(1.0),
-                        channel_lambda=GaussianNoise(1.2), channel_z=GaussianNoise(0.6))
-    ring = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
-    pool = GraphModel.erdos_renyi_pool(6, 5, 0.3, 0.7, seed=1)
-    rng = np.random.default_rng(3)
-    graphs = [sample_graph(model, rng) for model in
-              (GraphModel.gossip(6), GraphModel.broadcast(ring), pool) for _ in range(3)]
-    mean_L = mean_laplacian(pool)
-    graphs.append(GraphSample.from_adjacency(np.diag(np.diag(mean_L)) - mean_L))
-    stream = PathStream(5)
-    state = NetworkState(X=problem.project_all(rng.standard_normal((6, 2))),
-                         Lam=rng.standard_normal((6, 2)), Z=rng.standard_normal((6, 2)))
-    for g in graphs:
-        full = draw_step_noise(noise, problem, state.X, stream)
-        assert full.zeta.shape == full.eps.shape == (6, 6, 2)
-        gathered = StepNoise(nu=full.nu, delta=full.delta, zeta=full.zeta[g.dst, g.src],
-                             eps=full.eps[g.dst, g.src])
-        a = apply_step(state, problem, g, full, 0.3)
-        b = apply_step(state, problem, g, gathered, 0.3)
-        for name in ("X", "Lam", "Z"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_edge_scatter_matches_dense_products():
     """The edge path (one bincount for L @ Lam, L @ Z and the received noise)
     agrees with the dense update lines, the Laplacian products and the
-    all-pairs einsum sum_j a_ij zeta_ij, to roundoff."""
+    dense einsum sum_j a_ij zeta_ij over the per-edge draws laid out as
+    (n, n, m) arrays, to roundoff."""
     from netalloc import laplacian, random_instance
 
     problem = random_instance(4, 7, 2, set_kind="box")
@@ -365,10 +339,13 @@ def test_edge_scatter_matches_dense_products():
         A = np.triu(rng.random((7, 7)) < p, 1) * rng.uniform(0.5, 2.0, (7, 7))
         A = A + A.T
         L = laplacian(A)
-        full = draw_step_noise(noise, problem, X, PathStream(seed))
-        nxt = apply_step(state, problem, GraphSample.from_adjacency(A), full, alpha)
-        zrow = np.einsum("ij,ijm->im", A, full.zeta)
-        erow = np.einsum("ij,ijm->im", A, full.eps)
+        graph = GraphSample.from_adjacency(A)
+        draws = draw_step_noise(noise, problem, X, PathStream(seed), graph)
+        nxt = apply_step(state, problem, graph, draws, alpha)
+        zeta, eps = np.zeros((2, 7, 7, 2))
+        zeta[graph.dst, graph.src], eps[graph.dst, graph.src] = draws.zeta, draws.eps
+        zrow = np.einsum("ij,ijm->im", A, zeta)
+        erow = np.einsum("ij,ijm->im", A, eps)
         want = (problem.project_all(X + alpha * (Lam - problem.grad_all(X))),
                 Lam + alpha * (problem.D - X - L @ Lam - L @ Z + zrow + erow),
                 Z + alpha * (L @ Lam - zrow))

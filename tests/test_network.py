@@ -198,12 +198,15 @@ def test_mean_laplacian_mc_matches_exact_within_3se():
 
 
 def _mean_laplacian_mc_dense(model, draws, seed):
-    """The estimate from one dense Laplacian per `sample_graph` draw."""
+    """The estimate from one dense Laplacian per draw of the per-step
+    reference `sample_graph`."""
+    from reference import sample_graph as reference_sample_graph
+
     rng = np.random.default_rng(seed)
     acc = np.zeros((model.n, model.n))
     acc2 = np.zeros((model.n, model.n))
     for _ in range(draws):
-        L = sample_graph(model, rng).laplacian
+        L = reference_sample_graph(model, rng).laplacian
         acc += L
         acc2 += L * L
     mean = acc / draws

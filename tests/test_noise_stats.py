@@ -8,6 +8,7 @@ import numpy as np
 from netalloc import (
     GaussianNoise,
     GraphModel,
+    GraphSample,
     NoiseConfig,
     PathStream,
     SampledQuadraticNoise,
@@ -29,15 +30,26 @@ def full_noise():
     )
 
 
+def complete_graph(n):
+    return GraphSample.from_adjacency(np.ones((n, n)) - np.eye(n))
+
+
 def collect(noise, problem, steps, seed=0):
+    """`steps` draws on the complete graph's n(n - 1) links."""
     stream = PathStream(seed)
     X = problem.project_all(np.zeros((problem.n, problem.m)))
-    return [draw_step_noise(noise, problem, X, stream) for _ in range(steps)]
+    graph = complete_graph(problem.n)
+    return [draw_step_noise(noise, problem, X, stream, graph) for _ in range(steps)]
+
+
+def channel_steps(problem):
+    """Steps giving each channel noise n * N_SAMPLES draws."""
+    return N_SAMPLES // ((problem.n - 1) * problem.m)
 
 
 def test_gaussian_channels_zero_mean_within_4se():
     problem = random_instance(0, 2, 2, set_kind="box")
-    steps = N_SAMPLES // (problem.n * problem.m)
+    steps = channel_steps(problem)
     draws = collect(full_noise(), problem, steps, seed=1)
     for name, sigma in (("nu", 0.8), ("delta", 1.0)):
         samples = np.concatenate([getattr(d, name).ravel() for d in draws])
@@ -78,7 +90,7 @@ def test_per_edge_channel_draws_meet_criterion_7_bounds():
 
 def test_second_moments_within_10_percent():
     problem = random_instance(0, 2, 2, set_kind="box")
-    steps = N_SAMPLES // (problem.n * problem.m)
+    steps = channel_steps(problem)
     draws = collect(full_noise(), problem, steps, seed=2)
     for name, sigma in (("nu", 0.8), ("delta", 1.0), ("zeta", 1.2), ("eps", 0.6)):
         samples = np.concatenate([getattr(d, name).ravel() for d in draws])
@@ -100,10 +112,11 @@ def test_sampled_quadratic_zero_mean_and_envelope():
         x[0] = mag
         X = np.tile(x, (problem.n, 1))
         stream = PathStream(int(mag) + 7)
+        graph = complete_graph(problem.n)
         sq_norms = []
         means = []
         for _ in range(reps):
-            d = draw_step_noise(noise, problem, X, stream)
+            d = draw_step_noise(noise, problem, X, stream, graph)
             sq_norms.append((d.nu**2).sum(axis=1))
             means.append(d.nu)
         sq = np.concatenate(sq_norms)
@@ -128,10 +141,10 @@ def test_martingale_difference_no_state_dependence():
     state = initial_state(problem)
     xs, ys = [], []
     for k in range(4000):
-        draws = draw_step_noise(noise, problem, state.X, stream)
+        graph = sample_graph(model, graph_gen)
+        draws = draw_step_noise(noise, problem, state.X, stream, graph)
         xs.append(state.norm())
         ys.append(float(draws.nu.ravel()[0]))
-        graph = sample_graph(model, graph_gen)
         state = apply_step(state, problem, graph, draws, 1.0 / (k + 1) ** 0.6)
     x = np.array(xs)
     y = np.array(ys)
@@ -178,7 +191,7 @@ def test_aggregate_noise_zero_mean():
     reps = 20_000
     for _ in range(reps):
         graph = sample_graph(model, graph_gen)
-        draws = draw_step_noise(noise, problem, state.X, stream)
+        draws = draw_step_noise(noise, problem, state.X, stream, graph)
         xi_x, xi_lam, xi_z = aggregate_noise(state, problem, graph, draws, mean_L)
         acc += [xi_x.sum(), xi_lam.sum(), xi_z.sum()]
     scale = np.sqrt(reps) * 30.0  # generous variance bound per summed block

@@ -161,6 +161,38 @@ def test_polyhedron_requires_interior():
         LocalSet.polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
 
 
+NAN, INF = float("nan"), float("inf")
+SQUARE = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ObjectiveSpec.quadratic([[NAN]], [0.0]),
+    lambda: ObjectiveSpec.quadratic([[INF]], [0.0]),
+    lambda: ObjectiveSpec.quadratic([[1.0, 0.0], [0.0, -INF]], [0.0, 0.0]),
+    lambda: ObjectiveSpec.quadratic([[1.0]], [NAN]),
+    lambda: ObjectiveSpec.quadratic([[1.0]], [-INF]),
+    lambda: AgentSpec(ObjectiveSpec.quadratic([[1.0]], [0.0]), LocalSet.unconstrained(1), [NAN]),
+    lambda: AgentSpec(ObjectiveSpec.quadratic([[1.0]], [0.0]), LocalSet.unconstrained(1), [INF]),
+    lambda: LocalSet.polyhedron(SQUARE, [1.0, 1.0, NAN, 1.0]),
+    lambda: LocalSet.polyhedron(SQUARE, [1.0, INF, 1.0, 1.0]),
+    lambda: LocalSet.polyhedron(np.where(SQUARE == 1.0, INF, SQUARE), np.ones(4)),
+    lambda: LocalSet.box([NAN], [1.0]),
+    lambda: LocalSet.box([0.0], [NAN]),
+    lambda: LocalSet.box([INF], [INF]),
+    lambda: LocalSet.box([-INF], [-INF]),
+], ids=["Q-nan", "Q-inf", "Q-minus-inf", "c-nan", "c-inf", "d-nan", "d-inf", "l-nan", "l-inf",
+        "R-inf", "box-lo-nan", "box-hi-nan", "box-lo-plus-inf", "box-hi-minus-inf"])
+def test_non_finite_problem_data_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_half_open_boxes_are_accepted():
+    box = LocalSet.box([-INF, 0.0], [1.0, INF])
+    np.testing.assert_array_equal(project(box, np.array([-5.0, 5.0])), [-5.0, 5.0])
+    np.testing.assert_array_equal(project(box, np.array([2.0, -1.0])), [1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # stationarity residuals
 
