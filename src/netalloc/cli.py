@@ -3,12 +3,15 @@
 Subcommands: validate, solve, run, mc, ode, report.  One JSON config
 document drives every subcommand, with sections {problem | instance_seed,
 graph, noise, schedule, run}; named flags override the matching config
-fields.  Exit codes: 0 ok, 1 numeric/convergence failure, 2 config error;
-a failure's JSON error goes to stderr and to the manifest, if one was made.
+fields.  Every section a command reads is checked before the command makes
+its output directory; a malformed one is a ConfigError naming it.  Exit
+codes: 0 ok, 1 numeric/convergence failure, 2 config error; a failure's
+JSON error goes to stderr and to the manifest, if one was made.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -36,89 +39,106 @@ from .trace import mean_trace, read_csv, write_csv, write_json
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config handling: one reader, the one place a section is checked
 
 
-def load_config(path):
+# the numeric run.* fields, each with a flag, and their defaults; a field
+# takes its default's type
+RUN_DEFAULTS = {"seed": 0, "iterations": 8000, "paths": 1, "cadence": 10, "threads": 1,
+                "h": 1e-3, "steps": 100_000}
+
+
+def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+        raise ConfigError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise ConfigError(f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
-def apply_overrides(config, args):
-    """Named flags override config fields by their dotted paths (run.*)."""
-    overrides = {}
+def checked(name, build, doc):
+    """`build(doc)`, with a ConfigError naming `name` if `doc` is not a JSON
+    object or `build` meets a field of the wrong type or value."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing field {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}")
+
+
+def read_config(args):
+    """The config document with the named flags applied to its run.* fields,
+    and those overrides by their dotted paths."""
+    config = read_json(args.config)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {args.config} must be a JSON object")
     run = config.setdefault("run", {})
-    for flag, key in (("seed", "seed"), ("paths", "paths"), ("iters", "iterations"),
-                      ("threads", "threads"), ("cadence", "cadence"),
-                      ("h", "h"), ("steps", "steps")):
-        val = getattr(args, flag, None)
+    if not isinstance(run, dict):
+        raise ConfigError("run section must be a JSON object")
+    overrides = {}
+    for key in RUN_DEFAULTS:
+        val = getattr(args, key, None)
         if val is not None:
-            run[key] = val
-            overrides[f"run.{key}"] = val
-    return overrides
+            run[key] = overrides[f"run.{key}"] = val
+    return config, overrides
 
 
-def build_problem(config):
-    if "problem" in config:
-        try:
-            return problem_from_json(config["problem"]), None
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"problem section: {exc}")
-    if "instance_seed" in config:
-        problem, dr = demand_response_instance(int(config["instance_seed"]))
-        return problem, dr
-    raise ConfigError("config needs either a 'problem' section or an 'instance_seed'")
+def number(path, value, kind=int):
+    """The JSON number at the dotted `path` as `kind`, int or float; a
+    ConfigError naming `path` if it is not finite, or not whole for an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or kind(value) != value:
+        raise ConfigError(f"{path} must be a finite {kind.__name__}, not {json.dumps(value)}")
+    return kind(value)
 
 
-def build_model(config):
-    doc = config.get("graph")
-    if doc is None:
-        raise ConfigError("config needs a 'graph' section")
-    try:
-        if "graphs" in doc or doc.get("kind") in ("gossip", "broadcast"):
-            return model_from_json(doc)
-        if doc.get("kind") == "erdos_renyi_pool":
-            return GraphModel.erdos_renyi_pool(
-                int(doc["n"]), int(doc.get("pool_size", 30)),
-                float(doc.get("p_lo", 0.05)), float(doc.get("p_hi", 0.1)),
-                seed=int(doc.get("seed", 0)),
-            )
-        raise ConfigError(f"graph section: cannot build kind {doc.get('kind')!r}")
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"graph section: {exc}")
+def build_model(doc):
+    if "graphs" in doc or doc.get("kind") in ("gossip", "broadcast"):
+        return model_from_json(doc)
+    if doc.get("kind") == "erdos_renyi_pool":
+        return GraphModel.erdos_renyi_pool(
+            number("graph.n", doc["n"]), number("graph.pool_size", doc.get("pool_size", 30)),
+            number("graph.p_lo", doc.get("p_lo", 0.05), float),
+            number("graph.p_hi", doc.get("p_hi", 0.1), float),
+            seed=number("graph.seed", doc.get("seed", 0)),
+        )
+    raise ValueError(f"cannot build kind {doc.get('kind')!r}")
 
 
-def build_noise(config):
-    try:
-        return NoiseConfig.from_json(config.get("noise", {}))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"noise section: {exc}")
-
-
-def build_schedule(config):
-    doc = config.get("schedule", {"kind": "power", "a": 1.0, "beta": 0.6})
-    try:
-        return StepSchedule.from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"schedule section: {exc}")
-
-
-def run_section(config):
-    run = dict(config.get("run", {}))
-    run.setdefault("seed", 0)
-    run.setdefault("iterations", 8000)
-    run.setdefault("paths", 1)
-    run.setdefault("cadence", 10)
-    run.setdefault("threads", 1)
-    run.setdefault("h", 1e-3)
-    run.setdefault("steps", 100_000)
-    run.setdefault("reference", "oracle")
+def build_run(doc):
+    run = {key: number(f"run.{key}", doc.get(key, default), type(default))
+           for key, default in RUN_DEFAULTS.items()}
+    run["reference"] = reference = doc.get("reference", "oracle")
+    if reference not in ("oracle", "none"):
+        raise ConfigError(f"run.reference must be 'oracle' or 'none', not {json.dumps(reference)}")
     return run
+
+
+BUILDERS = {
+    "problem": problem_from_json,
+    "graph": build_model,
+    "noise": NoiseConfig.from_json,
+    "schedule": StepSchedule.from_json,
+    "run": build_run,
+}
+DEFAULTS = {"noise": {}, "schedule": {"kind": "power", "a": 1.0, "beta": 0.6}}
+
+
+def build_section(config, name):
+    """The named section of `config`, built; a problem without a 'problem'
+    section is the demand-response instance of `instance_seed`."""
+    if name == "problem" and "problem" not in config and "instance_seed" in config:
+        return demand_response_instance(number("instance_seed", config["instance_seed"]))[0]
+    doc = config.get(name, DEFAULTS.get(name))
+    if doc is None:
+        raise ConfigError(f"config needs a '{name}' section"
+                          + (" or an 'instance_seed'" if name == "problem" else ""))
+    return checked(f"{name} section", BUILDERS[name], doc)
 
 
 def blas_info():
@@ -131,19 +151,21 @@ def blas_info():
     return blas.get("name"), blas.get("version")
 
 
-def prepare_out(args, command, config, overrides):
-    """Create the output directory and build its manifest as `args.manifest`;
-    `main` writes it once the command has returned or raised, with the
-    command's wall time `wall_s` and, on failure, its `error`."""
-    out = args.out
-    if out is None:
+def setup(args, command, *names):
+    """Read the config and build the named sections and the run section; only
+    then create the output directory and the manifest `main` writes, as
+    `args.manifest`.  Returns the output directory, the named sections and
+    the run section."""
+    config, overrides = read_config(args)
+    sections = [build_section(config, name) for name in names + ("run",)]
+    if args.out is None:
         raise ConfigError(f"'{command}' needs --out")
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     blas, blas_version = blas_info()
     args.manifest = {
         "command": command,
         "version": __version__,
-        "seed": run_section(config).get("seed"),
+        "seed": sections[-1]["seed"],
         "stream_version": STREAM_VERSION,
         "numpy": np.__version__,
         "blas": blas,
@@ -153,7 +175,7 @@ def prepare_out(args, command, config, overrides):
         "overrides": overrides,
         "config": config,
     }
-    return out
+    return (args.out, *sections)
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +183,20 @@ def prepare_out(args, command, config, overrides):
 
 
 def cmd_validate(args):
-    config = load_config(args.config)
-    apply_overrides(config, args)
+    config, _ = read_config(args)
     checks = []
 
     problem = None
     try:
-        problem, _ = build_problem(config)
+        problem = build_section(config, "problem")
         checks.append({"check": "objective-and-set-certification", "passed": True,
                        "detail": "all objectives strictly convex; all sets certified"})
     except ConfigError as exc:
         checks.append({"check": "objective-and-set-certification", "passed": False,
                        "detail": str(exc)})
 
-    model = None
     try:
-        model = build_model(config)
-        report = validate_model(model)
+        report = validate_model(build_section(config, "graph"))
         checks.append({
             "check": "connectivity-in-mean", "passed": bool(report.passed),
             "detail": str(report),
@@ -210,10 +229,7 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    config = load_config(args.config)
-    overrides = apply_overrides(config, args)
-    problem, _ = build_problem(config)
-    out = prepare_out(args, "solve", config, overrides)
+    out, problem, _ = setup(args, "solve", "problem")
     sol = solve_dual(problem)
     write_json(os.path.join(out, "oracle.json"), sol.to_json())
     print(f"solved: dual residual {sol.dual_residual:.3e}, {sol.kkt}")
@@ -221,24 +237,15 @@ def cmd_solve(args):
 
 
 def _reference_for(problem, run):
-    if run.get("reference") == "none":
-        return None
-    return solve_dual(problem).X_star
+    return None if run["reference"] == "none" else solve_dual(problem).X_star
 
 
 def cmd_run(args):
-    config = load_config(args.config)
-    overrides = apply_overrides(config, args)
-    problem, _ = build_problem(config)
-    model = build_model(config)
-    noise = build_noise(config)
-    schedule = build_schedule(config)
-    run = run_section(config)
-    out = prepare_out(args, "run", config, overrides)
-    reference = _reference_for(problem, run)
+    out, problem, model, noise, schedule, run = setup(
+        args, "run", "problem", "graph", "noise", "schedule")
     res = run_path(
-        problem, model, noise, schedule, iterations=int(run["iterations"]),
-        seed=int(run["seed"]), reference=reference, cadence=int(run["cadence"]),
+        problem, model, noise, schedule, iterations=run["iterations"], seed=run["seed"],
+        reference=_reference_for(problem, run), cadence=run["cadence"],
     )
     write_csv(res.trace, os.path.join(out, "trace.csv"))
     write_json(os.path.join(out, "final.json"), res.final_metrics)
@@ -247,19 +254,12 @@ def cmd_run(args):
 
 
 def cmd_mc(args):
-    config = load_config(args.config)
-    overrides = apply_overrides(config, args)
-    problem, _ = build_problem(config)
-    model = build_model(config)
-    noise = build_noise(config)
-    schedule = build_schedule(config)
-    run = run_section(config)
-    out = prepare_out(args, "mc", config, overrides)
-    reference = _reference_for(problem, run)
+    out, problem, model, noise, schedule, run = setup(
+        args, "mc", "problem", "graph", "noise", "schedule")
     result = monte_carlo(
-        problem, model, noise, schedule, iterations=int(run["iterations"]),
-        paths=int(run["paths"]), master_seed=int(run["seed"]), reference=reference,
-        cadence=int(run["cadence"]), threads=int(run["threads"]),
+        problem, model, noise, schedule, iterations=run["iterations"], paths=run["paths"],
+        master_seed=run["seed"], reference=_reference_for(problem, run),
+        cadence=run["cadence"], threads=run["threads"],
     )
     paths_dir = os.path.join(out, "paths")
     os.makedirs(paths_dir, exist_ok=True)
@@ -281,19 +281,13 @@ def cmd_mc(args):
 
 
 def cmd_ode(args):
-    config = load_config(args.config)
-    overrides = apply_overrides(config, args)
-    problem, _ = build_problem(config)
-    model = build_model(config)
-    run = run_section(config)
-    out = prepare_out(args, "ode", config, overrides)
+    out, problem, model, run = setup(args, "ode", "problem", "graph")
     sol = solve_dual(problem)
     mean_L = mean_laplacian(model)
     eq = equilibrium_construct(problem, mean_L, sol.X_star, sol.lambda_star)
     res = flow(
-        initial_state(problem), problem, mean_L, h=float(run["h"]),
-        steps=int(run["steps"]), equilibrium=eq.state,
-        cadence=max(1, int(run["steps"]) // 1000),
+        initial_state(problem), problem, mean_L, h=run["h"], steps=run["steps"],
+        equilibrium=eq.state, cadence=max(1, run["steps"] // 1000),
     )
     write_csv(res.trace, os.path.join(out, "ode_trace.csv"))
     write_json(os.path.join(out, "equilibrium.json"), {
@@ -303,6 +297,17 @@ def cmd_ode(args):
     })
     print(f"ode flow complete: {len(res.trace)} records -> {out}")
     return 0
+
+
+def summarize_finals_doc(doc):
+    """summary.json from a finals.json document; its `failed` list is absent
+    from directories written before failures were listed."""
+    finals, diverged, failed = doc["finals"], doc["diverged"], doc.get("failed", [])
+    if not all(isinstance(v, list) for v in (finals, diverged, failed)) \
+            or not all(isinstance(r, dict) and isinstance(r.get("final"), dict) for r in finals):
+        raise TypeError("finals, diverged and failed must be lists, and each final an object")
+    return summarize_finals([r["final"] for r in finals], len(finals) + len(diverged) + len(failed),
+                            len(diverged), len(failed))
 
 
 def cmd_report(args):
@@ -318,15 +323,8 @@ def cmd_report(args):
         if not traces:
             raise ConfigError(f"no stored path traces under {paths_dir}")
         finals_path = os.path.join(out, "finals.json")
-        if not os.path.isfile(finals_path):
-            raise ConfigError(f"stored path traces but no {finals_path}")
+        summary = checked(finals_path, summarize_finals_doc, read_json(finals_path))
         write_csv(mean_trace(traces), os.path.join(out, "trace_mean.csv"))
-        with open(finals_path) as fh:
-            finals_doc = json.load(fh)
-        finals, diverged = finals_doc["finals"], len(finals_doc["diverged"])
-        failed = len(finals_doc.get("failed", []))  # absent from directories written before failures were listed
-        summary = summarize_finals([r["final"] for r in finals], len(finals) + diverged + failed,
-                                   diverged, failed)
         write_json(os.path.join(out, "summary.json"), summary)
         print(f"report regenerated from {len(traces)} stored paths -> {out}")
         return 0
@@ -350,7 +348,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--paths", type=int, default=None)
-    sub.add_argument("--iters", type=int, default=None)
+    sub.add_argument("--iters", dest="iterations", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--cadence", type=int, default=None)
     sub.add_argument("--h", type=float, default=None)

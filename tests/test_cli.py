@@ -265,3 +265,66 @@ def test_report_without_finals_names_the_missing_file(tmp_path, capsys):
     assert doc["error"]["type"] == "ConfigError"
     assert str(tmp_path / "o" / "finals.json") in doc["error"]["message"]
     assert not (tmp_path / "o" / "trace_mean.csv").exists()
+
+
+
+def _malformed(key, value):
+    def edit(cfg):
+        cfg[key] = value
+        return cfg
+    return edit
+
+
+def _malformed_run_field(key, value):
+    def edit(cfg):
+        cfg["run"][key] = value
+        return cfg
+    return edit
+
+
+def _problem_with_string_agents(cfg):
+    del cfg["instance_seed"]
+    cfg["problem"] = {"n": 2, "m": 1, "agents": "ab"}
+    return cfg
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_malformed("graph", "erdos_renyi_pool"), "graph section"),
+    (_malformed("noise", [{"kind": "gaussian", "sigma": 1.0}]), "noise section"),
+    (_malformed("schedule", 0.6), "schedule section"),
+    (_malformed("run", 20), "run section"),
+    (_malformed("instance_seed", [0]), "instance_seed"),
+    (_malformed_run_field("iterations", [20]), "run.iterations"),
+    (_malformed_run_field("reference", "nonee"), "run.reference"),
+    (_problem_with_string_agents, "problem section"),
+    (lambda cfg: [cfg], "config.json"),
+    ({}, "finals.json"),
+    ({"finals": {"path": 0, "final": {}}, "diverged": []}, "finals.json"),
+], ids=["graph-string", "noise-list", "schedule-number", "run-number", "instance-seed-list",
+        "iterations-list", "reference-typo", "agents-string", "top-level-array",
+        "finals-empty", "finals-not-a-list"])
+def test_malformed_input_is_one_json_config_error(tmp_path, capsys, edit, named):
+    """A section, field or finals.json of the wrong JSON type, or a
+    `run.reference` other than "oracle" or "none" (which would otherwise run
+    the oracle): exit 2 with one JSON ConfigError line naming it, no output
+    directory for a config, and nothing rewritten by `report`."""
+    out = tmp_path / "o"
+    if isinstance(edit, dict):  # a finals.json document for `report`
+        cfg = write_config(tmp_path, base_config(reference="none", iterations=20, paths=2))
+        assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("trace_mean.csv", "summary.json"):
+            os.remove(out / name)
+        (out / "finals.json").write_text(json.dumps(edit))
+        capsys.readouterr()
+        rc = main(["report", "--out", str(out)])
+    else:
+        cfg = write_config(tmp_path, edit(base_config(reference="none", iterations=20)))
+        rc = main(["run", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"]["type"] == "ConfigError" and named in doc["error"]["message"]
+    if isinstance(edit, dict):
+        assert sorted(os.listdir(out)) == ["finals.json", "manifest.json", "paths"]
+    else:
+        assert not out.exists()

@@ -187,12 +187,13 @@ def test_aggregate_noise_zero_mean():
     noise = full_noise()
     stream = PathStream(1)
     graph_gen = stream.channel(0)
-    acc = np.zeros(3)
     reps = 20_000
-    for _ in range(reps):
+    sums = np.empty((reps, 3))  # per rep, the sum of each block
+    for r in range(reps):
         graph = sample_graph(model, graph_gen)
         draws = draw_step_noise(noise, problem, state.X, stream, graph)
         xi_x, xi_lam, xi_z = aggregate_noise(state, problem, graph, draws, mean_L)
-        acc += [xi_x.sum(), xi_lam.sum(), xi_z.sum()]
-    scale = np.sqrt(reps) * 30.0  # generous variance bound per summed block
-    assert (np.abs(acc / reps) < 4 * scale / reps * np.sqrt(reps)).all()
+        sums[r] = xi_x.sum(), xi_lam.sum(), xi_z.sum()
+    mean = sums.mean(axis=0)
+    standard_error = sums.std(axis=0, ddof=1) / np.sqrt(reps)
+    assert (np.abs(mean) < 4 * standard_error).all(), (mean, standard_error)
